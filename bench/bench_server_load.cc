@@ -608,7 +608,7 @@ writeFileOrWarn(const std::string &path, const std::string &doc)
  * server is already gone (crash harness), the client side is still
  * written with "server": null.
  */
-/** Pull one counter out of a scraped stats.v2 / metrics.v1 doc. */
+/** Pull one counter out of a scraped stats.v3 / metrics.v1 doc. */
 uint64_t
 scrapedCounter(const obs::JsonValue &root, std::string_view name)
 {

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include <set>
+#include <utility>
 
 #include "common/dcheck.hh"
 #include "common/logging.hh"
@@ -968,7 +969,7 @@ LSMStore::get(BytesView key, Bytes &value)
     if (memtable_->get(key, entry)) {
         if (entry.type == EntryType::Tombstone)
             return Status::notFound();
-        value = entry.value;
+        value = std::move(entry.value);
         return Status::ok();
     }
 
@@ -984,7 +985,7 @@ LSMStore::get(BytesView key, Bytes &value)
         if (mem->get(key, entry)) {
             if (entry.type == EntryType::Tombstone)
                 return Status::notFound();
-            value = entry.value;
+            value = std::move(entry.value);
             return Status::ok();
         }
     }
@@ -995,7 +996,7 @@ LSMStore::get(BytesView key, Bytes &value)
         if (s.isOk()) {
             if (entry.type == EntryType::Tombstone)
                 return Status::notFound();
-            value = entry.value;
+            value = std::move(entry.value);
             return Status::ok();
         }
         if (!s.isNotFound())
@@ -1028,7 +1029,7 @@ LSMStore::get(BytesView key, Bytes &value)
         if (s.isOk()) {
             if (entry.type == EntryType::Tombstone)
                 return Status::notFound();
-            value = entry.value;
+            value = std::move(entry.value);
             return Status::ok();
         }
         if (!s.isNotFound())

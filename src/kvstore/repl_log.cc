@@ -1,6 +1,7 @@
 #include "kvstore/repl_log.hh"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 
 #include "common/dcheck.hh"
@@ -13,6 +14,9 @@ namespace
 {
 
 constexpr uint64_t kFirstSegment = 1;
+
+constexpr const char *kStartMarker = "START";
+constexpr const char *kStartTag = "ethkv.repl.start.v1";
 
 /** Sealed-segment read window slack: enough for a typical record
  *  so one read usually covers the budget without a second probe. */
@@ -64,9 +68,41 @@ ReplicationLog::open(const ReplLogOptions &options)
 
     MutexLock lock(log->mutex_);
 
+    // The marker names the first retained segment; without one the
+    // log has never been truncated or reset.
+    uint64_t first_index = kFirstSegment;
+    const std::string marker = options.dir + "/" + kStartMarker;
+    if (env->fileExists(marker)) {
+        Bytes text;
+        s = env->readFileToString(marker, text);
+        if (!s.isOk())
+            return s;
+        char tag[32] = {};
+        unsigned long long index = 0, start = 0, seq = 0;
+        int pending = 0;
+        if (std::sscanf(text.c_str(), "%31s %llu %llu %llu %d", tag,
+                        &index, &start, &seq, &pending) != 5 ||
+            std::string(tag) != kStartTag || index < kFirstSegment)
+            return Status::corruption("repl log: bad START marker");
+        first_index = index;
+        log->start_offset_ = start;
+        log->last_seq_ = seq;
+        log->snapshot_pending_ = pending != 0;
+    }
+    // A crash between a marker write and its unlinks leaves stale
+    // segments just below the first one; finish the job.
+    for (uint64_t i = first_index; i > kFirstSegment; --i) {
+        const std::string stale = log->segmentPath(i - 1);
+        if (!env->fileExists(stale))
+            break;
+        s = env->removeFile(stale);
+        if (!s.isOk())
+            return s;
+    }
+
     // Probe the dense numbering (Env has no directory listing).
     std::vector<uint64_t> sizes;
-    for (uint64_t i = kFirstSegment;; ++i) {
+    for (uint64_t i = first_index;; ++i) {
         const std::string path = log->segmentPath(i);
         if (!env->fileExists(path))
             break;
@@ -79,10 +115,10 @@ ReplicationLog::open(const ReplLogOptions &options)
     // Validate every segment in order; the log ends at the first
     // record that does not decode.
     const std::string quarantine_dir = options.dir + "/quarantine";
-    uint64_t offset = 0;
+    uint64_t offset = log->start_offset_;
     bool truncated_stream = false;
     for (size_t i = 0; i < sizes.size(); ++i) {
-        const uint64_t index = kFirstSegment + i;
+        const uint64_t index = first_index + i;
         const std::string path = log->segmentPath(index);
         if (truncated_stream) {
             // Bytes past a corrupt record are meaningless; keep
@@ -126,14 +162,15 @@ ReplicationLog::open(const ReplLogOptions &options)
             truncated_stream = true;
         }
         log->segments_.push_back(
-            ReplSegment{index, offset, pos});
+            ReplSegment{index, offset, pos, seg_last_seq});
         offset += pos;
         log->last_seq_ = seg_last_seq;
         log->record_count_ += seg_records;
     }
     if (log->segments_.empty()) {
-        log->segments_.push_back(
-            ReplSegment{kFirstSegment, 0, 0});
+        // Fresh, or reset() crashed before creating the segment.
+        log->segments_.push_back(ReplSegment{
+            first_index, offset, 0, log->last_seq_});
     }
     log->end_offset_ = offset;
 
@@ -174,6 +211,9 @@ ReplicationLog::openActiveLocked()
 Status
 ReplicationLog::rotateIfNeededLocked()
 {
+    if (!active_)
+        return Status::ioError("repl log: failed reset left no "
+                               "active segment");
     ReplSegment &last = segments_.back();
     if (last.length < options_.segment_bytes)
         return Status::ok();
@@ -191,7 +231,7 @@ ReplicationLog::rotateIfNeededLocked()
         return file.status();
     active_ = file.take();
     active_buf_.clear();
-    segments_.push_back(ReplSegment{next, end_offset_, 0});
+    segments_.push_back(ReplSegment{next, end_offset_, 0, last_seq_});
     if (options_.sync_appends) {
         // Persist the new directory entry so the segment chain
         // survives power loss without a hole.
@@ -199,6 +239,103 @@ ReplicationLog::rotateIfNeededLocked()
         if (!dir_s.isOk())
             return dir_s;
     }
+    ETHKV_IGNORE_STATUS(retainLocked(),
+                        "the segments stay readable; the next "
+                        "rotation retries the truncation");
+    return Status::ok();
+}
+
+Status
+ReplicationLog::retainLocked()
+{
+    // Sealed segments are all but the last; keep the newest
+    // kRetainedSealedSegments of them whatever the pin says.
+    const uint64_t pin =
+        retention_pin_.load(std::memory_order_acquire);
+    const size_t sealed = segments_.size() - 1;
+    size_t drop = 0;
+    while (drop + kRetainedSealedSegments < sealed &&
+           segments_[drop].start_offset + segments_[drop].length <=
+               pin)
+        ++drop;
+    if (drop == 0)
+        return Status::ok();
+    const ReplSegment first = segments_[drop];
+    Status s = writeStartLocked(first.index, first.start_offset,
+                                segments_[drop - 1].last_seq, false);
+    if (!s.isOk())
+        return s;
+    // The marker now defines the start. A segment whose unlink
+    // fails stays on disk below it until open() removes it.
+    std::vector<ReplSegment> dropped(
+        segments_.begin(),
+        segments_.begin() + static_cast<long>(drop));
+    segments_.erase(segments_.begin(),
+                    segments_.begin() + static_cast<long>(drop));
+    start_offset_ = first.start_offset;
+    for (const ReplSegment &seg : dropped) {
+        Status u = env_->removeFile(segmentPath(seg.index));
+        if (!u.isOk())
+            s = u;
+    }
+    return s;
+}
+
+Status
+ReplicationLog::writeStartLocked(uint64_t first_index,
+                                 uint64_t start_offset,
+                                 uint64_t last_seq,
+                                 bool snapshot_pending)
+{
+    char text[128];
+    std::snprintf(text, sizeof text,
+                  "%s %" PRIu64 " %" PRIu64 " %" PRIu64 " %d\n",
+                  kStartTag, first_index, start_offset, last_seq,
+                  snapshot_pending ? 1 : 0);
+    const std::string marker = options_.dir + "/" + kStartMarker;
+    const std::string tmp = marker + ".tmp";
+    Status s =
+        env_->writeStringToFile(tmp, text, options_.sync_appends);
+    if (!s.isOk())
+        return s;
+    s = env_->renameFile(tmp, marker);
+    if (!s.isOk())
+        return s;
+    if (options_.sync_appends)
+        return env_->syncDir(options_.dir);
+    return Status::ok();
+}
+
+Status
+ReplicationLog::reset(uint64_t start_offset, uint64_t last_seq,
+                      bool snapshot_pending)
+{
+    MutexLock lock(mutex_);
+    const uint64_t next = segments_.back().index + 1;
+    Status s = writeStartLocked(next, start_offset, last_seq,
+                                snapshot_pending);
+    if (!s.isOk())
+        return s;
+    s = active_->close();
+    active_.reset();
+    if (!s.isOk())
+        return s;
+    for (const ReplSegment &seg : segments_) {
+        s = env_->removeFile(segmentPath(seg.index));
+        if (!s.isOk())
+            return s;
+    }
+    segments_.assign(
+        1, ReplSegment{next, start_offset, 0, last_seq});
+    start_offset_ = start_offset;
+    end_offset_ = start_offset;
+    last_seq_ = last_seq;
+    snapshot_pending_ = snapshot_pending;
+    s = openActiveLocked();
+    if (!s.isOk())
+        return s;
+    if (options_.sync_appends)
+        return env_->syncDir(options_.dir);
     return Status::ok();
 }
 
@@ -220,8 +357,10 @@ ReplicationLog::appendRecordLocked(BytesView record,
     active_buf_.append(record);
     segments_.back().length += record.size();
     end_offset_ += record.size();
-    if (last_seq > 0)
+    if (last_seq > 0) {
         last_seq_ = last_seq;
+        segments_.back().last_seq = last_seq;
+    }
     ++record_count_;
     return Status::ok();
 }
@@ -288,6 +427,10 @@ Status
 ReplicationLog::read(uint64_t offset, size_t max_bytes, Bytes &out)
 {
     MutexLock lock(mutex_);
+    if (offset < start_offset_)
+        return Status::notFound(
+            "repl read offset " + std::to_string(offset) +
+            " below log start " + std::to_string(start_offset_));
     if (offset > end_offset_)
         return Status::invalidArgument(
             "repl read offset " + std::to_string(offset) +
@@ -390,6 +533,26 @@ ReplicationLog::endOffset() const
 }
 
 uint64_t
+ReplicationLog::startOffset() const
+{
+    MutexLock lock(mutex_);
+    return start_offset_;
+}
+
+void
+ReplicationLog::setRetentionPin(uint64_t offset)
+{
+    retention_pin_.store(offset, std::memory_order_release);
+}
+
+bool
+ReplicationLog::snapshotPending() const
+{
+    MutexLock lock(mutex_);
+    return snapshot_pending_;
+}
+
+uint64_t
 ReplicationLog::lastSeq() const
 {
     MutexLock lock(mutex_);
@@ -407,6 +570,9 @@ Status
 ReplicationLog::sync()
 {
     MutexLock lock(mutex_);
+    if (!active_)
+        return Status::ioError("repl log: failed reset left no "
+                               "active segment");
     return active_->sync();
 }
 

@@ -8,21 +8,35 @@
  * same framed record format as the engine WAL, kvstore/wal.hh) and
  * the replication sender reads record-aligned windows out of it by
  * global byte offset — including rotated segments, so a follower
- * that was down for hours catches up from disk, Ira-style, without
- * blocking the write path. Followers append the received bytes
+ * that was down catches up from disk, Ira-style, without blocking
+ * the write path, as long as its offset is still retained. Followers append the received bytes
  * VERBATIM to their own ReplicationLog, which keeps offsets
  * globally valid across failover: after PROMOTE, the new primary's
  * log is byte-identical to the old one up to its end offset, and
  * surviving followers resume from their own validated end.
  *
- * Layout: <dir>/repl-<n>.log, densely numbered from 1. A segment
- * is sealed when it reaches segment_bytes; only the last segment
- * is writable. There is no retention/deletion yet, so no manifest:
- * open() probes the dense numbering. Torn tails (crash mid-append)
- * are quarantined via Env::quarantineTail on the LAST segment;
- * corruption in a sealed segment truncates the log there — in both
- * cases the validated end offset is what open() reports, and a
- * follower re-requests everything past it.
+ * Layout: <dir>/repl-<n>.log, densely numbered from the first
+ * retained segment, plus a <dir>/START marker naming that segment,
+ * its global start offset, and the last sequence number below it
+ * (no marker = segment 1 at offset 0). A segment is sealed when it
+ * reaches segment_bytes; only the last segment is writable. Torn
+ * tails (crash mid-append) are quarantined via
+ * Env::quarantineTail on the LAST segment; corruption in a sealed
+ * segment truncates the log there — in both cases the validated
+ * end offset is what open() reports, and a follower re-requests
+ * everything past it.
+ *
+ * Retention (DESIGN.md §13): at each rotation, whole sealed
+ * segments are dropped from the front while they lie entirely
+ * below both the retention pin (the lowest offset a connected
+ * follower has not acked; see setRetentionPin) and the newest
+ * kRetainedSealedSegments sealed segments. The marker is rewritten
+ * first and the files unlinked after, so a crash in between
+ * leaves stale segments below the marker that open() removes. A
+ * read below the start returns NotFound: the reader must catch up
+ * from a snapshot instead (reset() then restarts the log there).
+ * Retention adds no fdatasync without sync_appends; with it, the
+ * marker is synced like a rotation's directory entry.
  *
  * Thread safety: all methods lock an internal mutex (rank
  * kReplLog) — appenders (the store decorator / follower replay)
@@ -35,6 +49,7 @@
 #ifndef ETHKV_KVSTORE_REPL_LOG_HH
 #define ETHKV_KVSTORE_REPL_LOG_HH
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +62,11 @@
 
 namespace ethkv::kv
 {
+
+/** Sealed segments retention always keeps, newest first: with the
+ *  default 4 MiB segments, a 64 MiB window a follower may lag by
+ *  and still catch up from the log rather than a snapshot. */
+inline constexpr uint64_t kRetainedSealedSegments = 16;
 
 struct ReplLogOptions
 {
@@ -72,6 +92,8 @@ struct ReplSegment
     uint64_t index = 0; //!< repl-<index>.log
     uint64_t start_offset = 0;
     uint64_t length = 0;
+    //! Sequence of the last record at or below this segment's end.
+    uint64_t last_seq = 0;
 };
 
 class ReplicationLog
@@ -115,6 +137,8 @@ class ReplicationLog
     /**
      * Read whole records from global offset into out (appended).
      *
+     * An offset below startOffset() returns NotFound (retention
+     * dropped it); everything else below follows.
      * Returns up to max_bytes, rounded DOWN to a record boundary —
      * except that the first record is always returned whole even
      * if it alone exceeds max_bytes, so a reader can always make
@@ -127,6 +151,29 @@ class ReplicationLog
 
     /** Global offset one past the last validated record. */
     uint64_t endOffset() const;
+
+    /** Global offset of the oldest retained byte. */
+    uint64_t startOffset() const;
+
+    /**
+     * Lowest offset a connected follower still needs (~0 = none).
+     * Lock-free; the next rotation's retention honors it.
+     */
+    void setRetentionPin(uint64_t offset);
+
+    /**
+     * Drop every segment and restart the log, empty, at
+     * start_offset with last_seq carried over. A follower calls
+     * this with snapshot_pending=true (at offset 0) before a
+     * snapshot catch-up, and with false (at the snapshot's base)
+     * once the snapshot is applied; the flag persists, so a node
+     * that crashed mid-snapshot knows its engine is partial.
+     */
+    Status reset(uint64_t start_offset, uint64_t last_seq,
+                 bool snapshot_pending);
+
+    /** True between reset(..., true) and the next reset(). */
+    bool snapshotPending() const;
 
     /** Sequence number carried by the last appended record
      *  (first_seq + count - 1), 0 when the log is empty. */
@@ -146,6 +193,13 @@ class ReplicationLog
 
     Status openActiveLocked() REQUIRES(mutex_);
     Status rotateIfNeededLocked() REQUIRES(mutex_);
+    /** Drop the sealed segments retention no longer needs. */
+    Status retainLocked() REQUIRES(mutex_);
+    /** Atomically replace the START marker. */
+    Status writeStartLocked(uint64_t first_index,
+                            uint64_t start_offset,
+                            uint64_t last_seq,
+                            bool snapshot_pending) REQUIRES(mutex_);
     Status appendRecordLocked(BytesView record, uint64_t last_seq)
         REQUIRES(mutex_);
     std::string segmentPath(uint64_t index) const;
@@ -158,7 +212,10 @@ class ReplicationLog
     std::unique_ptr<WritableFile> active_ GUARDED_BY(mutex_);
     /** In-memory mirror of the active (last) segment. */
     Bytes active_buf_ GUARDED_BY(mutex_);
+    uint64_t start_offset_ GUARDED_BY(mutex_) = 0;
     uint64_t end_offset_ GUARDED_BY(mutex_) = 0;
+    bool snapshot_pending_ GUARDED_BY(mutex_) = false;
+    std::atomic<uint64_t> retention_pin_{~0ull};
     uint64_t last_seq_ GUARDED_BY(mutex_) = 0;
     uint64_t record_count_ GUARDED_BY(mutex_) = 0;
 };

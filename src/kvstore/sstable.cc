@@ -22,8 +22,18 @@ appendEntry(Bytes &out, const InternalEntry &e)
     out += e.value;
 }
 
+/** One data-block entry viewed in place; valid while the block
+ *  buffer it points into is alive and unmodified. */
+struct EntryView
+{
+    BytesView key;
+    BytesView value;
+    uint64_t seq;
+    EntryType type;
+};
+
 bool
-readEntry(BytesView data, size_t &pos, InternalEntry &e)
+readEntryView(BytesView data, size_t &pos, EntryView &e)
 {
     uint64_t klen, vlen, seq;
     if (!readVarint(data, pos, klen))
@@ -37,14 +47,39 @@ readEntry(BytesView data, size_t &pos, InternalEntry &e)
         return false;
     if (!readVarint(data, pos, seq))
         return false;
-    if (pos + klen + vlen > data.size())
+    // Compare against the remaining bytes, so a huge length cannot
+    // wrap the sum past the bound.
+    const uint64_t left = data.size() - pos;
+    if (klen > left || vlen > left - klen)
         return false;
-    e.key = Bytes(data.substr(pos, klen));
+    e.key = data.substr(pos, klen);
     pos += klen;
-    e.value = Bytes(data.substr(pos, vlen));
+    e.value = data.substr(pos, vlen);
     pos += vlen;
     e.seq = seq;
     e.type = static_cast<EntryType>(type);
+    return true;
+}
+
+/**
+ * The one data-block decoder: walk every entry of `block` in place,
+ * calling fn(const EntryView &) for each.
+ *
+ * @return false at the first malformed entry. Entries after the
+ *         one a caller wants are still checked, so a point lookup
+ *         and a full scan reject the same blocks.
+ */
+template <typename Fn>
+bool
+forEachEntry(BytesView block, Fn &&fn)
+{
+    size_t pos = 0;
+    EntryView e;
+    while (pos < block.size()) {
+        if (!readEntryView(block, pos, e))
+            return false;
+        fn(e);
+    }
     return true;
 }
 
@@ -333,26 +368,33 @@ SSTableReader::findBlock(BytesView target) const
 }
 
 Status
-SSTableReader::readBlock(size_t block_idx,
-                         std::vector<InternalEntry> &entries)
+SSTableReader::readBlockBytes(size_t block_idx, Bytes &block)
 {
     if (block_idx >= index_.size())
         panic("sstable: block index out of range");
     const IndexEntry &ie = index_[block_idx];
-    Bytes block;
     Status s = file_->read(ie.offset, ie.size, block);
     if (!s.isOk())
         return s;
     bytes_read_.fetch_add(ie.size, std::memory_order_relaxed);
+    return Status::ok();
+}
 
+Status
+SSTableReader::readBlock(size_t block_idx,
+                         std::vector<InternalEntry> &entries)
+{
+    Bytes block;
+    Status s = readBlockBytes(block_idx, block);
+    if (!s.isOk())
+        return s;
     entries.clear();
-    size_t pos = 0;
-    while (pos < block.size()) {
-        InternalEntry e;
-        if (!readEntry(block, pos, e))
-            return Status::corruption("sstable: bad block entry");
-        entries.push_back(std::move(e));
-    }
+    bool intact = forEachEntry(block, [&](const EntryView &e) {
+        entries.push_back(
+            {Bytes(e.key), Bytes(e.value), e.seq, e.type});
+    });
+    if (!intact)
+        return Status::corruption("sstable: bad block entry");
     return Status::ok();
 }
 
@@ -369,24 +411,27 @@ SSTableReader::get(BytesView key, InternalEntry &entry)
     if (idx < 0)
         return Status::notFound();
 
-    std::vector<InternalEntry> entries;
-    Status s = readBlock(static_cast<size_t>(idx), entries);
+    // Zero-copy probe: the block lands in a buffer this thread
+    // reuses across lookups, entries are walked as views into it,
+    // and only the match is copied out. The buffer never escapes
+    // this call, so tables may share it.
+    thread_local Bytes block;
+    Status s = readBlockBytes(static_cast<size_t>(idx), block);
     if (!s.isOk())
         return s;
-    // Binary search within the decoded block.
-    size_t lo = 0, hi = entries.size();
-    while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (BytesView(entries[mid].key) < key)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo < entries.size() && BytesView(entries[lo].key) == key) {
-        entry = entries[lo];
-        return Status::ok();
-    }
-    return Status::notFound();
+    bool found = false;
+    bool intact = forEachEntry(block, [&](const EntryView &e) {
+        if (found || e.key != key)
+            return;
+        entry.key.assign(e.key);
+        entry.value.assign(e.value);
+        entry.seq = e.seq;
+        entry.type = e.type;
+        found = true;
+    });
+    if (!intact)
+        return Status::corruption("sstable: bad block entry");
+    return found ? Status::ok() : Status::notFound();
 }
 
 /**

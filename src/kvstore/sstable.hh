@@ -134,6 +134,10 @@ class SSTableReader
     /**
      * Point lookup.
      *
+     * Walks the key's block in place and copies out only the
+     * match; every entry of the block is still validated, so a
+     * malformed entry anywhere in it returns Corruption.
+     *
      * @param entry Receives the entry (possibly a tombstone).
      * @return NotFound if this table has no entry for the key.
      */
@@ -162,6 +166,9 @@ class SSTableReader
                   std::unique_ptr<RandomAccessFile> file);
 
     Status load(uint64_t file_bytes);
+
+    /** Read data block i's raw bytes into block (resized). */
+    Status readBlockBytes(size_t block_idx, Bytes &block);
 
     /** Read and decode data block i into entries. */
     Status readBlock(size_t block_idx,

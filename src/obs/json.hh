@@ -91,7 +91,7 @@ appendJsonString(std::string &out, std::string_view s)
  *
  *   JsonWriter w;
  *   w.beginObject();
- *   w.key("schema"); w.value("ethkv.server.stats.v2");
+ *   w.key("schema"); w.value("ethkv.server.stats.v3");
  *   w.key("metrics"); w.rawValue(registry.toJson());
  *   w.endObject();
  *   use(w.str());

@@ -89,7 +89,7 @@ class Client
     Status scan(BytesView start, BytesView end, uint64_t limit,
                 ScanResult &out);
 
-    /** Fetch the server's stats JSON (ethkv.server.stats.v2). */
+    /** Fetch the server's stats JSON (ethkv.server.stats.v3). */
     Status stats(Bytes &json_out);
 
     /** Fetch the server's Chrome trace JSON (TRACEDUMP). */

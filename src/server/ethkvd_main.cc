@@ -548,6 +548,10 @@ main(int argc, char **argv)
         ropts.ack_timeout_ms = flags.repl_ack_timeout_ms;
         if (flags.repl_segment_bytes > 0)
             ropts.segment_bytes = flags.repl_segment_bytes;
+        // Snapshots need a scan that covers the whole key space.
+        ropts.snapshot_catch_up = flags.engine == "lsm" ||
+                                  flags.engine == "btree" ||
+                                  flags.engine == "mem";
         ropts.primary_host = flags.follower_host;
         ropts.primary_port = flags.follower_port;
         ropts.seed = flags.fault_seed;

@@ -88,6 +88,7 @@ opcodeName(uint8_t opcode)
       case Opcode::Promote: return "promote";
       case Opcode::ReplAck: return "replack";
       case Opcode::ReplBatch: return "replbatch";
+      case Opcode::ReplSnapshot: return "replsnapshot";
     }
     return "other";
 }
@@ -450,6 +451,36 @@ decodeReplBatch(BytesView payload, uint64_t &start_offset,
     if (!readVarint(payload, pos, last_seq))
         return malformed("REPLBATCH last seq");
     records = payload.substr(pos);
+    return Status::ok();
+}
+
+void
+encodeReplSnapshot(Bytes &out, uint64_t base_offset,
+                   uint64_t base_seq, bool done, BytesView records)
+{
+    appendVarint(out, base_offset);
+    appendVarint(out, base_seq);
+    out.push_back(done ? 1 : 0);
+    out.append(records);
+}
+
+Status
+decodeReplSnapshot(BytesView payload, uint64_t &base_offset,
+                   uint64_t &base_seq, bool &done,
+                   BytesView &records)
+{
+    size_t pos = 0;
+    if (!readVarint(payload, pos, base_offset))
+        return malformed("REPLSNAPSHOT offset");
+    if (!readVarint(payload, pos, base_seq))
+        return malformed("REPLSNAPSHOT seq");
+    if (pos >= payload.size() ||
+        static_cast<uint8_t>(payload[pos]) > 1)
+        return malformed("REPLSNAPSHOT done flag");
+    done = payload[pos++] == 1;
+    records = payload.substr(pos);
+    if (done && !records.empty())
+        return malformed("REPLSNAPSHOT end carries records");
     return Status::ok();
 }
 

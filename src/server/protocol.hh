@@ -42,7 +42,7 @@
  *   GET response    value bytes (raw)
  *   SCAN response   count, per entry klen key vlen value,
  *                   truncated(1B)
- *   STATS response  JSON (ethkv.server.stats.v2: engine name,
+ *   STATS response  JSON (ethkv.server.stats.v3: engine name,
  *                   IOStats, full ethkv.metrics.v1 snapshot)
  *   TRACEDUMP resp  Chrome trace JSON array of server spans
  *   SLOWLOG resp    JSON (ethkv.slowops.v1)
@@ -104,6 +104,8 @@ enum class Opcode : uint8_t
     Promote = 10,  //!< Admin -> follower: become primary.
     ReplAck = 11,  //!< Follower -> primary: applied through offset.
     ReplBatch = 12, //!< Primary -> follower: raw log records.
+    //! Primary -> follower: a chunk of the snapshot catch-up.
+    ReplSnapshot = 13,
 };
 
 /** Lower-case opcode name ("get", ...; "other" when unknown). */
@@ -256,6 +258,14 @@ Status decodeScanResponse(BytesView payload,
 //              primary's on-disk encoding, so offsets stay
 //              globally valid across failover).
 // REPLACK      applied_offset + applied_seq, follower -> primary.
+// SUBSCRIBE ok with resume_offset above the requested one: the
+//              requested offset is below the primary's log start,
+//              so a snapshot stream follows (DESIGN.md §13).
+// REPLSNAPSHOT base_offset + base_seq (the log position the
+//              snapshot is redone from) + done(1B) + put records
+//              in the replication-log record format. done=1 ends
+//              the snapshot (no records); REPLBATCH frames from
+//              base_offset follow.
 // PROMOTE      (empty request); ok response carries the promoted
 //              node's log end offset.
 
@@ -279,6 +289,13 @@ void encodeReplAck(Bytes &out, uint64_t applied_offset,
                    uint64_t applied_seq);
 Status decodeReplAck(BytesView payload, uint64_t &applied_offset,
                      uint64_t &applied_seq);
+
+void encodeReplSnapshot(Bytes &out, uint64_t base_offset,
+                        uint64_t base_seq, bool done,
+                        BytesView records);
+Status decodeReplSnapshot(BytesView payload, uint64_t &base_offset,
+                          uint64_t &base_seq, bool &done,
+                          BytesView &records);
 
 void encodePromoteResponse(Bytes &out, uint64_t end_offset);
 Status decodePromoteResponse(BytesView payload,

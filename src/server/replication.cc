@@ -173,6 +173,87 @@ ReplicatedKVStore::applyReplicaBytes(BytesView records,
 }
 
 Status
+ReplicatedKVStore::beginSnapshot()
+{
+    {
+        MutexLock lock(mutex_);
+        Status s = log_.reset(0, 0, true);
+        if (!s.isOk())
+            return s;
+    }
+    // Empty the engine a page at a time. The store mutex drops
+    // between pages so the cache invalidation runs unlocked (see
+    // applyReplicaBytes for the lock order).
+    constexpr size_t kPageKeys = 4096;
+    Bytes cursor;
+    for (;;) {
+        std::vector<Bytes> keys;
+        Status s;
+        {
+            MutexLock lock(mutex_);
+            s = base_.scan(cursor, BytesView(),
+                           [&](BytesView k, BytesView) {
+                               keys.emplace_back(k);
+                               return keys.size() < kPageKeys;
+                           });
+            if (s.isOk() && !keys.empty()) {
+                kv::WriteBatch batch;
+                for (const Bytes &k : keys)
+                    batch.del(k);
+                s = base_.apply(batch);
+            }
+        }
+        if (!keys.empty())
+            hub_.notifyReplicaApplied(keys);
+        if (!s.isOk() || keys.size() < kPageKeys)
+            return s;
+        cursor = keys.back() + '\0';
+    }
+}
+
+Status
+ReplicatedKVStore::applySnapshotChunk(BytesView records)
+{
+    std::vector<Bytes> invalidated;
+    Status result;
+    {
+        MutexLock lock(mutex_);
+        size_t pos = 0;
+        while (pos < records.size()) {
+            kv::WriteBatch batch;
+            uint64_t first_seq = 0;
+            result =
+                kv::decodeWalRecord(records, pos, batch, first_seq);
+            if (result.isNotFound())
+                result = Status::corruption(
+                    "torn record in snapshot chunk");
+            if (!result.isOk())
+                break;
+            result = base_.apply(batch);
+            for (const kv::BatchEntry &e : batch.entries())
+                invalidated.push_back(e.key);
+            if (!result.isOk())
+                break;
+        }
+    }
+    if (!invalidated.empty())
+        hub_.notifyReplicaApplied(invalidated);
+    return result;
+}
+
+Status
+ReplicatedKVStore::finishSnapshot(uint64_t base_offset,
+                                  uint64_t base_seq)
+{
+    MutexLock lock(mutex_);
+    Status s = log_.reset(base_offset, base_seq, false);
+    if (!s.isOk())
+        return s;
+    next_seq_ = std::max(next_seq_, base_seq + 1);
+    return Status::ok();
+}
+
+Status
 ReplicatedKVStore::get(BytesView key, Bytes &value)
 {
     return base_.get(key, value);
@@ -290,7 +371,8 @@ class ReplicationSender
     }
 
     Status
-    adopt(int fd, uint64_t resume_offset, Bytes first_bytes)
+    adopt(int fd, uint64_t resume_offset, Bytes first_bytes,
+          bool snapshot, uint64_t snapshot_seq)
     {
         {
             MutexLock lock(mutex_);
@@ -298,8 +380,9 @@ class ReplicationSender
                 net::closeFd(fd);
                 return Status::notSupported("sender stopping");
             }
-            pending_.push_back(
-                {fd, resume_offset, std::move(first_bytes)});
+            pending_.push_back({fd, resume_offset,
+                                std::move(first_bytes), snapshot,
+                                snapshot_seq});
         }
         net::signalEventFd(wake_fd_);
         return Status::ok();
@@ -347,6 +430,11 @@ class ReplicationSender
         uint64_t acked_seq = 0;
         uint32_t next_id = 1;
         bool want_write = false;
+        //! Streaming a snapshot that precedes the log from
+        //! next_offset; snap_cursor is the next scan start.
+        bool snapshot = false;
+        Bytes snap_cursor;
+        uint64_t snap_seq = 0;
 
         uint64_t
         backlog() const
@@ -360,6 +448,8 @@ class ReplicationSender
         int fd;
         uint64_t resume_offset;
         Bytes first_bytes;
+        bool snapshot;
+        uint64_t snapshot_seq;
     };
 
     struct Waiter
@@ -439,6 +529,8 @@ class ReplicationSender
         sub.out = std::move(p.first_bytes);
         sub.next_offset = p.resume_offset;
         sub.acked_offset = p.resume_offset;
+        sub.snapshot = p.snapshot;
+        sub.snap_seq = p.snapshot_seq;
         subs_.emplace(p.fd, std::move(sub));
         sub_count_.store(subs_.size(), std::memory_order_release);
     }
@@ -464,13 +556,67 @@ class ReplicationSender
             dropSub(subs_.begin()->first);
     }
 
-    /** Fill a subscriber's out-buffer from the log up to the
-     *  backlog cap. Reads happen here, on the sender thread —
-     *  never on the server's request path. */
-    void
+    /** Queue one page of a snapshot: the engine's merged scan
+     *  from the cursor as put records, then the end frame once the
+     *  scan is exhausted. @return false when the scan failed. */
+    bool
+    pumpSnapshotPage(Sub &s)
+    {
+        const uint64_t budget = hub_.options_.batch_bytes;
+        kv::WriteBatch batch;
+        uint64_t bytes = 0;
+        bool more = false;
+        Status st = hub_.store_->scan(
+            s.snap_cursor, BytesView(),
+            [&](BytesView k, BytesView v) {
+                if (bytes >= budget) {
+                    more = true;
+                    return false;
+                }
+                batch.put(k, v);
+                bytes += k.size() + v.size();
+                return true;
+            });
+        if (!st.isOk())
+            return false;
+        Bytes payload;
+        if (!batch.empty()) {
+            Bytes records;
+            kv::appendWalRecord(records, batch, 0);
+            encodeReplSnapshot(payload, s.next_offset, s.snap_seq,
+                               false, records);
+            appendFrame(s.out,
+                        static_cast<uint8_t>(Opcode::ReplSnapshot),
+                        s.next_id++, payload);
+            s.snap_cursor = batch.entries().back().key + '\0';
+        }
+        if (!more) {
+            payload.clear();
+            encodeReplSnapshot(payload, s.next_offset, s.snap_seq,
+                               true, BytesView());
+            appendFrame(s.out,
+                        static_cast<uint8_t>(Opcode::ReplSnapshot),
+                        s.next_id++, payload);
+            s.snapshot = false;
+            hub_.snapshots_sent_->inc();
+        }
+        return true;
+    }
+
+    /** Fill a subscriber's out-buffer — snapshot pages first, then
+     *  the log — up to the backlog cap. Reads happen here, on the
+     *  sender thread, never on the server's request path.
+     *  @return false when the subscriber must be dropped. */
+    bool
     pumpSub(Sub &s)
     {
         const auto &o = hub_.options_;
+        while (s.snapshot &&
+               s.backlog() < o.subscriber_backlog_bytes)
+            if (!pumpSnapshotPage(s))
+                return false;
+        if (s.snapshot)
+            return true;
         uint64_t end = hub_.log_->endOffset();
         uint64_t last_seq = hub_.log_->lastSeq();
         while (s.next_offset < end &&
@@ -479,6 +625,10 @@ class ReplicationSender
             Status st = hub_.log_->read(
                 s.next_offset,
                 static_cast<size_t>(o.batch_bytes), records);
+            if (st.isNotFound())
+                // Retention dropped its offset before it was
+                // pinned; it reconnects and gets a snapshot.
+                return false;
             if (!st.isOk() || records.empty())
                 break;
             Bytes payload;
@@ -490,6 +640,7 @@ class ReplicationSender
             s.next_offset += records.size();
             hub_.batches_shipped_->inc();
         }
+        return true;
     }
 
     /** @return false when the connection died (caller drops it). */
@@ -516,7 +667,10 @@ class ReplicationSender
             s.out.erase(0, s.out_pos);
             s.out_pos = 0;
         }
-        bool want = s.out_pos < s.out.size();
+        // A snapshot in progress has more to send even when the
+        // buffer drained: stay registered for writability so the
+        // next page goes out as soon as the socket takes it.
+        bool want = s.out_pos < s.out.size() || s.snapshot;
         if (want != s.want_write) {
             s.want_write = want;
             uint32_t ev = net::kEventRead |
@@ -534,8 +688,7 @@ class ReplicationSender
     {
         std::vector<int> dead;
         for (auto &kv : subs_) {
-            pumpSub(kv.second);
-            if (!flushSub(kv.second))
+            if (!pumpSub(kv.second) || !flushSub(kv.second))
                 dead.push_back(kv.first);
         }
         for (int fd : dead)
@@ -602,19 +755,23 @@ class ReplicationSender
             return;
         }
         // Acks free backlog budget; writability drains the queue.
-        pumpSub(s);
-        if (!flushSub(s))
+        if (!pumpSub(s) || !flushSub(s))
             dropSub(fd);
     }
 
+    /** Lowest acked offset over the subscribers; ~0 when there
+     *  are none. A subscriber still receiving its snapshot holds
+     *  no replica yet: sync acks skip it (with_snapshots=false),
+     *  retention must not (it pins the snapshot's base). */
     uint64_t
-    minAcked() const
+    minAcked(bool with_snapshots = false) const
     {
         uint64_t min_acked = ~0ull;
         for (const auto &kv : subs_)
-            min_acked =
-                std::min(min_acked, kv.second.acked_offset);
-        return min_acked; // ~0 when no subscribers: fail open
+            if (with_snapshots || !kv.second.snapshot)
+                min_acked =
+                    std::min(min_acked, kv.second.acked_offset);
+        return min_acked; // ~0 when none: fail open
     }
 
     void
@@ -637,7 +794,8 @@ class ReplicationSender
             uint64_t target = waiters_.begin()->first;
             std::vector<int> victims;
             for (const auto &kv : subs_)
-                if (kv.second.acked_offset < target)
+                if (!kv.second.snapshot &&
+                    kv.second.acked_offset < target)
                     victims.push_back(kv.first);
             for (int fd : victims)
                 dropSub(fd);
@@ -655,6 +813,7 @@ class ReplicationSender
     void
     updateGauges()
     {
+        hub_.log_->setRetentionPin(minAcked(true));
         hub_.subscribers_->set(
             static_cast<int64_t>(subs_.size()));
         if (subs_.empty()) {
@@ -692,7 +851,8 @@ class ReplicationSender
             uint64_t end = hub_.log_->endOffset();
             bool behind = false;
             for (const auto &kv : subs_)
-                if (kv.second.next_offset < end ||
+                if (kv.second.snapshot ||
+                    kv.second.next_offset < end ||
                     kv.second.backlog() > 0)
                     behind = true;
             if (!behind || subs_.empty())
@@ -896,9 +1056,30 @@ class FollowerClient
         uint64_t p_end = 0;
         if (!decodeSubscribeResponse(f.payload, resume, p_end)
                  .isOk() ||
-            resume != our_end) {
+            resume < our_end) {
             closeSession();
             return;
+        }
+        // A resume point past our end means our offset is below the
+        // primary's log start: a snapshot stream comes first. A node
+        // that crashed mid-snapshot starts over from an empty engine
+        // even when the primary can stream its log from 0.
+        snapshot_ = resume > our_end;
+        if (snapshot_ || hub_.log_->snapshotPending()) {
+            // Emptying the engine needs the same whole-key-space
+            // scan as serving a snapshot.
+            Status s = o.snapshot_catch_up
+                           ? hub_.store_->beginSnapshot()
+                           : Status::notSupported(
+                                 "this engine cannot take a "
+                                 "snapshot");
+            if (s.isOk() && !snapshot_)
+                s = hub_.store_->finishSnapshot(0, 0);
+            if (!s.isOk()) {
+                failReplay(s);
+                closeSession();
+                return;
+            }
         }
         primary_end_ = p_end;
         hub_.follower_connected_->set(1);
@@ -945,12 +1126,57 @@ class FollowerClient
         closeSession();
     }
 
+    /** An applied stream failed locally: latch degraded mode,
+     *  since a follower applying a partial stream is worse than
+     *  one that stopped. Snapshot steps latch on any failure (an
+     *  engine without scan can never take one); replay only on
+     *  I/O errors. */
+    void
+    failReplay(const Status &s, bool snapshot_step = true)
+    {
+        hub_.replay_errors_->inc();
+        if (snapshot_step || s.code() == StatusCode::IOError ||
+            s.code() == StatusCode::IODegraded)
+            hub_.enterDegraded(s);
+    }
+
+    /** @return false to end the session. */
+    bool
+    handleSnapshotFrame(const Frame &f)
+    {
+        uint64_t base = 0;
+        uint64_t base_seq = 0;
+        bool done = false;
+        BytesView records;
+        if (!snapshot_ ||
+            !decodeReplSnapshot(f.payload, base, base_seq, done,
+                                records)
+                 .isOk())
+            return false;
+        Status s = done ? hub_.store_->finishSnapshot(base, base_seq)
+                        : hub_.store_->applySnapshotChunk(records);
+        if (!s.isOk()) {
+            failReplay(s);
+            return false;
+        }
+        if (!done)
+            return true;
+        snapshot_ = false;
+        hub_.snapshots_applied_->inc();
+        updateLag();
+        return sendAck();
+    }
+
     /** @return false to end the session. */
     bool
     handleFrame(const Frame &f)
     {
+        if (f.type == static_cast<uint8_t>(Opcode::ReplSnapshot))
+            return handleSnapshotFrame(f);
         if (f.type != static_cast<uint8_t>(Opcode::ReplBatch))
             return true; // tolerate unknown server frames
+        if (snapshot_)
+            return false; // log records before the snapshot ended
         uint64_t start = 0;
         uint64_t p_end = 0;
         uint64_t p_seq = 0;
@@ -980,12 +1206,7 @@ class FollowerClient
         Status s = hub_.store_->applyReplicaBytes(
             records, applied_seq, applied_records);
         if (!s.isOk()) {
-            hub_.replay_errors_->inc();
-            if (s.code() == StatusCode::IOError ||
-                s.code() == StatusCode::IODegraded)
-                // A half-applied stream must not keep growing:
-                // latch sticky read-only degraded mode.
-                hub_.enterDegraded(s);
+            failReplay(s, false);
             return false;
         }
         hub_.batches_received_->inc();
@@ -1037,6 +1258,7 @@ class FollowerClient
     // Session state (stream thread only).
     int fd_ = -1;
     uint32_t next_id_ = 1;
+    bool snapshot_ = false; //!< Receiving a snapshot stream.
     uint64_t primary_end_ = 0;
     uint64_t primary_last_seq_ = 0;
     Bytes scratch_;
@@ -1074,6 +1296,9 @@ ReplicationHub::ReplicationHub(const ReplicationOptions &options)
     subscribers_dropped_ =
         &metrics_.counter("repl.subscribers_dropped");
     promotions_ = &metrics_.counter("repl.promotions");
+    snapshots_sent_ = &metrics_.counter("repl.snapshots_sent");
+    snapshots_applied_ =
+        &metrics_.counter("repl.snapshots_applied");
 }
 
 ReplicationHub::~ReplicationHub() { flushAndStop(); }
@@ -1147,6 +1372,17 @@ ReplicationHub::promote(uint64_t *end_offset)
             if (isDegraded())
                 return Status::ioDegraded(
                     "replay failed during promotion drain");
+            if (log_->snapshotPending()) {
+                // A partial snapshot is no state the primary ever
+                // had: keep catching up instead.
+                follower_ = std::make_unique<FollowerClient>(*this);
+                Status s = follower_->start();
+                if (!s.isOk())
+                    return s;
+                return Status::invalidArgument(
+                    "follower is mid-snapshot; PROMOTE once it "
+                    "has caught up");
+            }
             role_.store(ReplRole::Primary,
                         std::memory_order_release);
             promotions_->inc();
@@ -1206,7 +1442,7 @@ ReplicationHub::enqueueAckWaiter(uint64_t target_offset,
 
 Status
 ReplicationHub::adoptSubscriber(int fd, uint64_t resume_offset,
-                                Bytes first_bytes)
+                                Bytes first_bytes, bool snapshot)
 {
     MutexLock lock(mutex_);
     if (stopped_.load(std::memory_order_acquire) ||
@@ -1219,8 +1455,10 @@ ReplicationHub::adoptSubscriber(int fd, uint64_t resume_offset,
         net::closeFd(fd);
         return s;
     }
-    return sender_->adopt(fd, resume_offset,
-                          std::move(first_bytes));
+    // The snapshot's sequence only seeds the follower's lag gauge
+    // and sequence numbering, so a racing append is harmless.
+    return sender_->adopt(fd, resume_offset, std::move(first_bytes),
+                          snapshot, snapshot ? log_->lastSeq() : 0);
 }
 
 uint64_t

@@ -28,6 +28,15 @@
  *    backoff + jitter, and latches sticky read-only degraded mode
  *    if replay hits an IOError (a follower applying a partial
  *    stream is worse than one that stopped).
+ *  - Retention: the sender pins the log at the lowest offset a
+ *    connected follower has not acked; the log drops sealed
+ *    segments below that pin and outside its newest window. A
+ *    follower whose offset was dropped catches up from a snapshot
+ *    instead: the primary notes A = its log end, streams the
+ *    engine's merged scan as put records, then streams the log
+ *    from A. Every record is an idempotent whole-value put or
+ *    delete, so redoing the log from A over any scan taken after A
+ *    converges to the primary's state (DESIGN.md §13).
  *
  * The server consults the hub for role checks (mutations on a
  * follower fail with WireStatus::NotPrimary), hands SUBSCRIBE
@@ -93,7 +102,14 @@ struct ReplicationOptions
     int backoff_max_ms = 2000;
     uint64_t seed = 0; //!< Backoff jitter seed (0 = from clock).
 
-    /** Sender read window per REPLBATCH frame. */
+    /** Serve snapshot catch-up to followers below the log start.
+     *  Needs an engine whose scan("", "") visits every key in
+     *  order (lsm, btree, mem); false for hybrid, whose scans stay
+     *  within one class, and for hash/log, which cannot scan. */
+    bool snapshot_catch_up = true;
+
+    /** Sender read window per REPLBATCH frame (and per snapshot
+     *  page). */
     uint64_t batch_bytes = 256u << 10;
     /** Per-subscriber out-buffer cap: stop reading the log for a
      *  follower whose socket is this far behind. */
@@ -141,6 +157,20 @@ class ReplicatedKVStore final : public kv::KVStore
     Status applyReplicaBytes(BytesView records,
                              uint64_t &applied_seq,
                              uint64_t &applied_records);
+
+    /**
+     * Snapshot catch-up, step 1 (follower): restart the log empty
+     * at offset 0, marked snapshot-pending, then empty the engine.
+     * A crash from here on reopens pending and asks again.
+     */
+    Status beginSnapshot();
+
+    /** Step 2: apply one chunk of snapshot put records to the
+     *  engine only (the log resumes at the snapshot's base). */
+    Status applySnapshotChunk(BytesView records);
+
+    /** Step 3: restart the log, empty, at the snapshot's base. */
+    Status finishSnapshot(uint64_t base_offset, uint64_t base_seq);
 
   private:
     kv::KVStore &base_;
@@ -198,13 +228,18 @@ class ReplicationHub
      * PROMOTE: drain the replay queue, stop the follower stream,
      * flip to primary. Idempotent (promoting a primary is Ok).
      * Fails with IODegraded when replay latched degraded mode —
-     * promoting a wedged follower would serve a torn prefix.
+     * promoting a wedged follower would serve a torn prefix — and
+     * with InvalidArgument mid-snapshot (the stream resumes).
      *
      * @param end_offset Receives the promoted log end.
      */
     Status promote(uint64_t *end_offset);
 
     uint64_t endOffset() const { return log_->endOffset(); }
+    bool snapshotCatchUp() const
+    {
+        return options_.snapshot_catch_up;
+    }
     kv::ReplicationLog &log() { return *log_; }
 
     // -- Server integration (primary side) -----------------------
@@ -249,10 +284,13 @@ class ReplicationHub
      * streaming begins; resume_offset must be a validated record
      * boundary <= endOffset() (the server checks against
      * endOffset(); the log rejects misaligned offsets on read).
+     * With snapshot set, resume_offset is the log end A read when
+     * the follower's own offset proved to be below the log start:
+     * a snapshot stream precedes the log from A.
      * The hub owns the fd from here on, success or failure.
      */
     Status adoptSubscriber(int fd, uint64_t resume_offset,
-                           Bytes first_bytes);
+                           Bytes first_bytes, bool snapshot = false);
 
     /** Live subscriber count (primary). */
     uint64_t subscriberCount() const;
@@ -325,6 +363,8 @@ class ReplicationHub
     obs::Gauge *sync_acks_pending_;
     obs::Counter *subscribers_dropped_;
     obs::Counter *promotions_;
+    obs::Counter *snapshots_sent_;
+    obs::Counter *snapshots_applied_;
 };
 
 } // namespace ethkv::server

@@ -36,7 +36,8 @@ nowNs()
 int
 opIndex(uint8_t op)
 {
-    return (op >= 1 && op <= 12) ? op : 0;
+    constexpr auto kLast = static_cast<uint8_t>(Opcode::ReplSnapshot);
+    return (op >= 1 && op <= kLast) ? op : 0;
 }
 
 /** Monotonic milliseconds for idle-connection bookkeeping. */
@@ -94,8 +95,9 @@ struct Server::Connection
     FrameReader reader;
     Bytes out;          //!< Encoded, not-yet-written responses.
     size_t out_pos = 0; //!< Bytes of `out` already written.
-    bool paused = false;     //!< Reads off (backpressure).
-    bool want_write = false; //!< EPOLLOUT registered.
+    bool paused = false; //!< Reads off (backpressure).
+    //! Interest mask registered with the worker's epoll.
+    uint32_t events = net::kEventRead;
     uint64_t ops = 0;        //!< Lifetime frames served.
     //! This connection's contribution to the write-queue gauge.
     size_t reported_queue = 0;
@@ -175,11 +177,12 @@ Server::Server(kv::KVStore &store, ServerOptions options)
         &metrics_.counter("server.backpressure.paused");
     backpressure_dropped_ =
         &metrics_.counter("server.backpressure.dropped");
-    for (int i = 0; i < 13; ++i) {
+    for (int i = 0; i < kOpSlots; ++i) {
         std::string name = std::string("server.op.") +
                            opcodeName(static_cast<uint8_t>(i));
         op_count_[i] = &metrics_.counter(name);
         op_errors_[i] = &metrics_.counter(name + ".errors");
+        op_not_found_[i] = &metrics_.counter(name + ".not_found");
         op_latency_[i] =
             &metrics_.histogram(name + ".latency_ns");
     }
@@ -408,15 +411,17 @@ Server::applyBackpressure(Worker &worker, Connection &conn)
                queued < options_.write_queue_soft_bytes / 2) {
         conn.paused = false;
     }
-    bool want_write = queued > 0;
     uint32_t events = (conn.paused ? 0u : net::kEventRead) |
-                      (want_write ? net::kEventWrite : 0u);
-    // Level-triggered epoll: always reflect current interest.
+                      (queued > 0 ? net::kEventWrite : 0u);
+    // Level-triggered epoll keeps reporting a registered interest,
+    // so the syscall is needed only when the mask changes.
+    if (events == conn.events)
+        return;
     ETHKV_IGNORE_STATUS(
         net::epollMod(worker.epfd, conn.fd, events,
                       static_cast<uint64_t>(conn.fd)),
         "EPOLL_CTL_MOD can only fail on a closing fd");
-    conn.want_write = want_write;
+    conn.events = events;
 }
 
 void
@@ -498,7 +503,7 @@ Server::statsJson()
     obs::JsonWriter w;
     w.beginObject();
     w.key("schema");
-    w.value("ethkv.server.stats.v2");
+    w.value("ethkv.server.stats.v3");
     w.key("engine");
     w.value(store_.name());
     w.key("io");
@@ -701,6 +706,7 @@ Server::execOp(Connection &, const Frame &frame,
         return;
       case Opcode::ReplAck:
       case Opcode::ReplBatch:
+      case Opcode::ReplSnapshot:
         // Stream-only frames; on a request connection they are a
         // protocol error, not a crash.
         fail(Status::invalidArgument(
@@ -733,7 +739,9 @@ Server::handleFrame(Worker &worker, Connection &conn,
     execOp(conn, frame, wire_status, payload);
     uint64_t exec_end_ns = nowNs();
     op_latency_[idx]->record(exec_end_ns - exec_start_ns);
-    if (wire_status != static_cast<uint8_t>(WireStatus::Ok))
+    if (wire_status == static_cast<uint8_t>(WireStatus::NotFound))
+        op_not_found_[idx]->inc();
+    else if (wire_status != static_cast<uint8_t>(WireStatus::Ok))
         op_errors_[idx]->inc();
 
     // Semi-sync replication: a successful mutation's response is
@@ -884,10 +892,25 @@ Server::handleSubscribe(Worker &worker, Connection &conn,
         flushWrites(worker, conn);
         return;
     }
+    bool snapshot = false;
     if (resume < end) {
         Bytes probe;
         s = repl->log().read(resume, 1, probe);
-        if (!s.isOk()) {
+        if (s.isNotFound() && !repl->snapshotCatchUp()) {
+            // Not InvalidArgument: the follower must not latch
+            // degraded; it retries, and an operator re-seeds it.
+            respond(WireStatus::NotSupported,
+                    "resume offset below the log start, and this "
+                    "engine cannot serve a snapshot");
+            flushWrites(worker, conn);
+            return;
+        }
+        if (s.isNotFound()) {
+            // Retention dropped the follower's offset: it catches
+            // up from a snapshot, then the log from here.
+            snapshot = true;
+            resume = end;
+        } else if (!s.isOk()) {
             respond(WireStatus::InvalidArgument,
                     "resume offset is not a record boundary");
             flushWrites(worker, conn);
@@ -925,8 +948,8 @@ Server::handleSubscribe(Worker &worker, Connection &conn,
     // `conn` is dangling from here.
     subscribers_adopted_->inc();
     ETHKV_IGNORE_STATUS(
-        repl->adoptSubscriber(fd, resume,
-                              std::move(first_bytes)),
+        repl->adoptSubscriber(fd, resume, std::move(first_bytes),
+                              snapshot),
         "the hub owns the fd, success or failure");
 }
 
@@ -1042,7 +1065,6 @@ Server::workerLoop(Worker &worker)
                         conns_active_->add(-1);
                         continue;
                     }
-                    conn->want_write = false;
                     conn->id = next_conn_id_.fetch_add(
                         1, std::memory_order_relaxed);
                     conn->last_activity_ms = nowMs();

@@ -154,6 +154,10 @@ class Server
     }
 
   private:
+    /** Per-opcode instrument slots: 0 = unknown, then each Opcode. */
+    static constexpr int kOpSlots =
+        static_cast<int>(Opcode::ReplSnapshot) + 1;
+
     struct Connection;
     struct Worker;
 
@@ -215,9 +219,11 @@ class Server
     obs::Counter *frames_received_;
     obs::Counter *backpressure_paused_;
     obs::Counter *backpressure_dropped_;
-    obs::Counter *op_count_[13];
-    obs::Counter *op_errors_[13];
-    obs::LatencyHistogram *op_latency_[13];
+    obs::Counter *op_count_[kOpSlots];
+    //! Failed ops; a NotFound answer is counted in op_not_found_.
+    obs::Counter *op_errors_[kOpSlots];
+    obs::Counter *op_not_found_[kOpSlots];
+    obs::LatencyHistogram *op_latency_[kOpSlots];
     obs::LatencyHistogram *conn_lifetime_ops_;
 
     // Per-stage attribution (sampled; DESIGN.md §11).

@@ -9,6 +9,11 @@
  * straddle a rotation mid-stream, replay-from-offset at EVERY
  * record boundary, misaligned offsets, torn tails in the last and
  * in sealed segments, and fault-injected crashes and read errors.
+ * The retention tests pin what truncation may drop (whole sealed
+ * segments below the pin and outside the newest
+ * kRetainedSealedSegments), that reads below the start are a
+ * distinct status, and that the START marker survives reopen,
+ * reset, and a crash between its write and the unlinks.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +35,12 @@ namespace
 using testutil::ScratchDir;
 using testutil::makeKey;
 using testutil::makeValue;
+
+bool
+env_exists(const std::string &path)
+{
+    return Env::defaultEnv()->fileExists(path);
+}
 
 /** The i-th test batch: two puts, payload ~i-dependent. */
 WriteBatch
@@ -433,6 +444,205 @@ TEST(ReplLog, ReadErrorSurfacesAsIOError)
     fault.setPermanentReadError(false);
     out.clear();
     EXPECT_TRUE(log.value()->read(0, 1u << 20, out).isOk());
+}
+
+/** Path of segment `index`, as the log names it. */
+std::string
+segmentFile(const std::string &dir, uint64_t index)
+{
+    char name[32];
+    std::snprintf(name, sizeof name, "/repl-%06llu.log",
+                  static_cast<unsigned long long>(index));
+    return dir + name;
+}
+
+TEST(ReplLog, RetentionDropsOnlyWholeSealedSegmentsBelowPin)
+{
+    ScratchDir dir("repl_retain_pin");
+    auto log = ReplicationLog::open(smallSegments(dir.path()));
+    ASSERT_TRUE(log.ok());
+    ReplicationLog &l = *log.value();
+
+    // Pin mid-record: a follower has acked up to record 8's start
+    // plus one byte of it (offsets are only ever record
+    // boundaries, but the rule must hold for any pin).
+    std::vector<uint64_t> boundaries{0};
+    for (uint64_t i = 0; i < 9; ++i) {
+        uint64_t end = 0;
+        ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1, &end).isOk());
+        boundaries.push_back(end);
+    }
+    const uint64_t pin = boundaries[8] + 1;
+    l.setRetentionPin(pin);
+    for (uint64_t i = 9; i < 80; ++i)
+        ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1).isOk());
+
+    auto segs = l.segments();
+    ASSERT_GT(segs.size(), kRetainedSealedSegments + 1)
+        << "the pin, not the window, must bound this truncation";
+    EXPECT_GT(l.startOffset(), 0u);
+    EXPECT_EQ(l.startOffset(), segs.front().start_offset);
+    // The first retained segment holds the pin: everything
+    // dropped lay wholly below it.
+    EXPECT_LE(segs.front().start_offset, pin);
+    EXPECT_GT(segs.front().start_offset + segs.front().length, pin);
+    EXPECT_FALSE(env_exists(segmentFile(dir.path(), 1)));
+    EXPECT_TRUE(
+        env_exists(segmentFile(dir.path(), segs.front().index)));
+
+    // Below the start is its own status, not a misaligned read.
+    Bytes out;
+    EXPECT_TRUE(l.read(0, 1u << 20, out).isNotFound());
+    EXPECT_TRUE(
+        l.read(l.startOffset() - 1, 1u << 20, out).isNotFound());
+    EXPECT_TRUE(out.empty());
+    ASSERT_TRUE(l.read(l.startOffset(), 1u << 20, out).isOk());
+    EXPECT_EQ(l.startOffset() + out.size(), l.endOffset());
+
+    // Unpinned: only the newest sealed window plus the active
+    // segment remain once the next rotation runs retention.
+    l.setRetentionPin(~0ull);
+    for (uint64_t i = 80; i < 90; ++i)
+        ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1).isOk());
+    EXPECT_EQ(l.segments().size(), kRetainedSealedSegments + 1);
+    EXPECT_EQ(l.lastSeq(), 89 * 2 + 2);
+}
+
+TEST(ReplLog, ReopenAfterTruncationKeepsStartAndEnd)
+{
+    ScratchDir dir("repl_retain_reopen");
+    uint64_t start = 0, end = 0, last_seq = 0;
+    {
+        auto log = ReplicationLog::open(smallSegments(dir.path()));
+        ASSERT_TRUE(log.ok());
+        for (uint64_t i = 0; i < 60; ++i)
+            ASSERT_TRUE(
+                log.value()->append(testBatch(i), i * 2 + 1).isOk());
+        start = log.value()->startOffset();
+        end = log.value()->endOffset();
+        last_seq = log.value()->lastSeq();
+        ASSERT_GT(start, 0u);
+    }
+    auto log = ReplicationLog::open(smallSegments(dir.path()));
+    ASSERT_TRUE(log.ok());
+    EXPECT_EQ(log.value()->startOffset(), start);
+    EXPECT_EQ(log.value()->endOffset(), end);
+    EXPECT_EQ(log.value()->lastSeq(), last_seq);
+    Bytes out;
+    ASSERT_TRUE(log.value()->read(start, 1u << 20, out).isOk());
+    EXPECT_EQ(start + out.size(), end);
+    // Appends continue the offset space past the reopen.
+    uint64_t next_end = 0;
+    ASSERT_TRUE(
+        log.value()->append(testBatch(60), 121, &next_end).isOk());
+    EXPECT_EQ(next_end, end + testRecord(60).size());
+}
+
+/** A FaultInjectionEnv whose unlinks can be made to fail, so a
+ *  crash can land after a START write and before its unlinks. */
+class NoUnlinkEnv : public FaultInjectionEnv
+{
+  public:
+    using FaultInjectionEnv::FaultInjectionEnv;
+
+    Status
+    removeFile(const std::string &path) override
+    {
+        if (fail_removes)
+            return Status::ioError("injected: unlink " + path);
+        return FaultInjectionEnv::removeFile(path);
+    }
+
+    bool fail_removes = false;
+};
+
+TEST(ReplLog, CrashBetweenStartMarkerAndUnlinks)
+{
+    ScratchDir dir("repl_retain_crash");
+    NoUnlinkEnv fault(Env::defaultEnv(), /*seed=*/23);
+    ReplLogOptions options = smallSegments(dir.path(), &fault);
+    options.sync_appends = true; // markers are synced with --sync
+
+    uint64_t want_start = 0, want_end = 0;
+    {
+        auto log = ReplicationLog::open(options);
+        ASSERT_TRUE(log.ok());
+        fault.fail_removes = true;
+        for (uint64_t i = 0; i < 60; ++i)
+            ASSERT_TRUE(
+                log.value()->append(testBatch(i), i * 2 + 1).isOk())
+                << "a failed truncation must not fail the append";
+        // Every truncation rewrote START and then failed to
+        // unlink: the log starts past the dropped segments, whose
+        // files are still on disk.
+        auto segs = log.value()->segments();
+        ASSERT_EQ(segs.size(), kRetainedSealedSegments + 1);
+        want_start = log.value()->startOffset();
+        EXPECT_EQ(want_start, segs.front().start_offset);
+        EXPECT_GT(want_start, 0u);
+        EXPECT_TRUE(env_exists(segmentFile(dir.path(), 1)));
+        want_end = log.value()->endOffset();
+        Bytes out;
+        EXPECT_TRUE(log.value()->read(0, 1, out).isNotFound());
+        fault.simulateCrash();
+    }
+    fault.reactivate();
+    fault.fail_removes = false;
+
+    for (int round = 0; round < 2; ++round) {
+        auto log = ReplicationLog::open(options);
+        ASSERT_TRUE(log.ok()) << log.status().toString();
+        EXPECT_EQ(log.value()->startOffset(), want_start);
+        EXPECT_EQ(log.value()->endOffset(), want_end);
+        EXPECT_FALSE(env_exists(segmentFile(dir.path(), 1)))
+            << "open() must finish the interrupted unlinks";
+        Bytes out;
+        ASSERT_TRUE(
+            log.value()->read(want_start, 1u << 20, out).isOk());
+        EXPECT_EQ(want_start + out.size(), want_end);
+    }
+}
+
+TEST(ReplLog, ResetRestartsTheOffsetSpaceAndPersists)
+{
+    ScratchDir dir("repl_reset");
+    {
+        auto log = ReplicationLog::open(smallSegments(dir.path()));
+        ASSERT_TRUE(log.ok());
+        for (uint64_t i = 0; i < 6; ++i)
+            ASSERT_TRUE(
+                log.value()->append(testBatch(i), i * 2 + 1).isOk());
+        // Snapshot begins: empty at 0, marked pending.
+        ASSERT_TRUE(log.value()->reset(0, 0, true).isOk());
+        EXPECT_TRUE(log.value()->snapshotPending());
+        EXPECT_EQ(log.value()->endOffset(), 0u);
+    }
+    {
+        // A crash mid-snapshot reopens empty and still pending.
+        auto log = ReplicationLog::open(smallSegments(dir.path()));
+        ASSERT_TRUE(log.ok());
+        EXPECT_TRUE(log.value()->snapshotPending());
+        EXPECT_EQ(log.value()->startOffset(), 0u);
+        EXPECT_EQ(log.value()->endOffset(), 0u);
+        // Snapshot applied: the log restarts at its base.
+        ASSERT_TRUE(log.value()->reset(5000, 77, false).isOk());
+        EXPECT_FALSE(log.value()->snapshotPending());
+        uint64_t end = 0;
+        ASSERT_TRUE(
+            log.value()->append(testBatch(39), 79, &end).isOk());
+        EXPECT_EQ(end, 5000 + testRecord(39).size());
+    }
+    auto log = ReplicationLog::open(smallSegments(dir.path()));
+    ASSERT_TRUE(log.ok());
+    EXPECT_FALSE(log.value()->snapshotPending());
+    EXPECT_EQ(log.value()->startOffset(), 5000u);
+    EXPECT_EQ(log.value()->endOffset(),
+              5000 + testRecord(39).size());
+    EXPECT_EQ(log.value()->lastSeq(), 80u);
+    Bytes out;
+    EXPECT_TRUE(log.value()->read(0, 1u << 20, out).isNotFound());
+    ASSERT_TRUE(log.value()->read(5000, 1u << 20, out).isOk());
+    EXPECT_EQ(out, testRecord(39));
 }
 
 } // namespace

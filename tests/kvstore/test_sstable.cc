@@ -2,6 +2,11 @@
  * @file
  * SSTable tests: write/read round trip across block boundaries,
  * point lookups, iterators, props, and format violations.
+ *
+ * The kvstore.asan_sstable ctest builds this file together with
+ * sstable.cc under AddressSanitizer: point lookups hand out views
+ * into a reused per-thread block buffer, and ASan checks that no
+ * view outlives or overruns it.
  */
 
 #include <gtest/gtest.h>
@@ -197,6 +202,80 @@ TEST(SSTableTest, BloomShortCircuitsAbsentKeys)
     // Bloom checks read no blocks.
     EXPECT_EQ(reader.value()->bytesRead(), before);
     EXPECT_LT(may, 100);
+}
+
+TEST(SSTableTest, MalformedEntryAfterMatchIsCorruption)
+{
+    ScratchDir dir("sst");
+    std::string path = dir.path() + "/t.sst";
+    // Fixed-size entries: 1B klen + 1B vlen + 1B type + 1B seq +
+    // 13B key + 24B value, so entry j starts at byte 41 * j of the
+    // first block.
+    constexpr size_t kEntryBytes = 41;
+    {
+        auto writer = SSTableWriter::create(path, 50);
+        ASSERT_TRUE(writer.ok());
+        for (uint64_t i = 0; i < 50; ++i) {
+            InternalEntry e{makeKey(i), makeValue(i, 24), i + 1,
+                            EntryType::Put};
+            ASSERT_EQ(e.key.size(), 13u);
+            ASSERT_TRUE(writer.value()->add(e).isOk());
+        }
+        ASSERT_TRUE(writer.value()->finish().isOk());
+    }
+    {
+        // An out-of-range type byte in entry 5; the lookup below
+        // matches entry 2, which precedes it in the same block.
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, 5 * kEntryBytes + 2, SEEK_SET), 0);
+        std::fputc(0x7f, f);
+        std::fclose(f);
+    }
+    auto reader = SSTableReader::open(path);
+    ASSERT_TRUE(reader.ok());
+    InternalEntry e;
+    Status s = reader.value()->get(makeKey(2), e);
+    EXPECT_EQ(s.code(), StatusCode::Corruption) << s.toString();
+    s = reader.value()->get(makeKey(20), e);
+    EXPECT_EQ(s.code(), StatusCode::Corruption) << s.toString();
+}
+
+TEST(SSTableTest, GetAgreesWithIteratorAcrossBlocks)
+{
+    ScratchDir dir("sst");
+    const uint64_t n = 3000; // dozens of blocks, every 7th a tombstone
+    std::string path = writeTable(dir.path() + "/t.sst", n);
+    auto reader = SSTableReader::open(path);
+    ASSERT_TRUE(reader.ok());
+
+    std::vector<InternalEntry> scanned;
+    auto it = reader.value()->newIterator();
+    for (it->seek(BytesView()); it->valid(); it->next())
+        scanned.push_back(it->entry());
+    ASSERT_EQ(scanned.size(), n);
+    EXPECT_GT(reader.value()->props().tombstone_count, 0u);
+
+    // Every key, so the first and last key of every block are
+    // covered; and the gap after every key, so every absent key
+    // that falls between two blocks is probed too.
+    for (size_t i = 0; i < scanned.size(); ++i) {
+        const InternalEntry &want = scanned[i];
+        InternalEntry got;
+        ASSERT_TRUE(reader.value()->get(want.key, got).isOk())
+            << want.key;
+        EXPECT_EQ(got.key, want.key);
+        EXPECT_EQ(got.value, want.value);
+        EXPECT_EQ(got.seq, want.seq);
+        EXPECT_EQ(got.type, want.type);
+
+        Bytes gap = want.key + "x";
+        if (i + 1 < scanned.size()) {
+            ASSERT_LT(gap, scanned[i + 1].key);
+        }
+        EXPECT_TRUE(reader.value()->get(gap, got).isNotFound())
+            << gap;
+    }
 }
 
 } // namespace

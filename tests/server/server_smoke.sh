@@ -45,6 +45,17 @@
 #       every acknowledged write (both phases) is served by the
 #       promoted node — zero acked-synced loss across failover —
 #       and that it now accepts writes and shuts down cleanly.
+#
+#   server_smoke.sh retention <ethkvd> <bench_server_load> \
+#       <scratch> <ethkv_ctl>
+#       The replication-log retention drill (DESIGN.md §13), with
+#       64 KiB segments so the window (16 sealed segments) is 1 MiB:
+#       with the follower down the primary writes over 4x the
+#       window, and its log must stay within 17 segments; the
+#       follower, now below the primary's log start, catches up
+#       from a snapshot to the primary's exact key/value set — once
+#       cleanly and once after a kill -9 mid-snapshot; then it is
+#       promoted and a second follower catches up from it.
 set -u
 
 MODE=$1
@@ -363,6 +374,139 @@ case "$MODE" in
     wait "$FOLLOWER_PID"
     RC=$?
     FOLLOWER_PID=""
+    [ "$RC" -eq 0 ] || fail "promoted node exit code $RC"
+    ;;
+
+  retention)
+    CTL=$1
+    SEG=65536
+    # Segment count and per-segment cap the retention rule allows:
+    # the newest 16 sealed segments plus the active one, each at
+    # most SEG plus the record that crossed the line.
+    MAX_SEGS=17
+    MAX_SEG_BYTES=$((SEG + 4096))
+    COMMON=(--engine lsm --memtable-bytes 262144 --workers 2
+            --repl-segment-bytes "$SEG" --port 0)
+
+    start_follower() { # <dir> <primary port file> <own port file>
+        rm -f "$3"
+        "$ETHKVD" "${COMMON[@]}" --dir "$1" \
+            --follower-of "127.0.0.1:$(cat "$2")" \
+            --port-file "$3" &
+        FOLLOWER_PID=$!
+        wait_port_file "$3"
+    }
+    stop_follower() {
+        kill -TERM "$FOLLOWER_PID"
+        wait "$FOLLOWER_PID"
+        local rc=$?
+        FOLLOWER_PID=""
+        [ "$rc" -eq 0 ] || fail "follower exit code $rc"
+    }
+    # Write about 6 MiB of log (over 4x the 1 MiB window).
+    fill() { # <port file> <key base>
+        "$LOADGEN" --port-file "$1" --mode fill --keys 20000 \
+            --key-base "$2" --value-bytes 256 --connections 2 \
+            --threads 1 > /dev/null \
+            || fail "fill at key base $2 (rc=$?)"
+    }
+    check_bounded() { # <repl dir>
+        local n=0 f size
+        for f in "$1"/repl-*.log; do
+            n=$((n + 1))
+            size=$(stat -c %s "$f")
+            [ "$size" -le "$MAX_SEG_BYTES" ] \
+                || fail "$f holds $size bytes (cap $MAX_SEG_BYTES)"
+        done
+        [ "$n" -le "$MAX_SEGS" ] \
+            || fail "$1 holds $n segments; retention allows $MAX_SEGS"
+    }
+    log_start() { # <repl dir>: the START marker's start offset
+        [ -s "$1/START" ] || { echo 0; return; }
+        cut -d' ' -f3 "$1/START"
+    }
+    same_data() { # <port file> <port file>
+        local a b
+        a=$("$CTL" digest --port-file "$1") || fail "digest $1"
+        b=$("$CTL" digest --port-file "$2") || fail "digest $2"
+        [ "$a" = "$b" ] || fail "scans differ: $a vs $b"
+        echo "server_smoke(retention): scans agree ($a)"
+    }
+    caught_up() { # <port file>
+        "$CTL" wait-caught-up --port-file "$1" --timeout-ms 30000 \
+            > /dev/null || fail "follower $1 never caught up"
+    }
+
+    "$ETHKVD" "${COMMON[@]}" --dir "$SCRATCH/data" --repl \
+        --port-file "$SCRATCH/pport" &
+    SERVER_PID=$!
+    wait_port_file "$SCRATCH/pport"
+
+    # 1. The follower syncs, goes down, and the primary writes
+    #    over 4x the window: its log must stay bounded.
+    start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
+    "$LOADGEN" --port-file "$SCRATCH/pport" --mode fill --keys 500 \
+        --connections 1 --threads 1 > /dev/null || fail "warm-up"
+    caught_up "$SCRATCH/f1port"
+    stop_follower
+    fill "$SCRATCH/pport" 100000
+    check_bounded "$SCRATCH/data/repl"
+    [ "$(log_start "$SCRATCH/data/repl")" -gt 0 ] \
+        || fail "primary log start never advanced"
+
+    # 2. The follower restarts below the log start: snapshot.
+    start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
+    caught_up "$SCRATCH/f1port"
+    [ "$(log_start "$SCRATCH/f1/repl")" -gt 0 ] \
+        || fail "follower caught up without a snapshot"
+    same_data "$SCRATCH/pport" "$SCRATCH/f1port"
+
+    # 3. Again, with a kill -9 while the snapshot is under way
+    #    (the START marker's last field is the pending flag).
+    stop_follower
+    fill "$SCRATCH/pport" 200000
+    start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
+    for _ in $(seq 1 2000); do
+        [ "$(cut -d' ' -f5 "$SCRATCH/f1/repl/START" 2>/dev/null)" \
+            = "1" ] && break
+        sleep 0.005
+    done
+    [ "$(cut -d' ' -f5 "$SCRATCH/f1/repl/START")" = "1" ] \
+        || fail "never saw the follower mid-snapshot"
+    kill -9 "$FOLLOWER_PID"
+    wait "$FOLLOWER_PID" 2>/dev/null
+    FOLLOWER_PID=""
+    start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
+    caught_up "$SCRATCH/f1port"
+    same_data "$SCRATCH/pport" "$SCRATCH/f1port"
+    check_bounded "$SCRATCH/data/repl"
+
+    # 4. Promote it; a fresh second follower (below the promoted
+    #    node's log start, which is its snapshot base) catches up
+    #    from the promoted node.
+    kill -TERM "$SERVER_PID"
+    wait "$SERVER_PID"
+    RC=$?
+    SERVER_PID=""
+    [ "$RC" -eq 0 ] || fail "primary exit code $RC"
+    "$CTL" promote --port-file "$SCRATCH/f1port" > /dev/null \
+        || fail "PROMOTE after the snapshot"
+    F1_PID=$FOLLOWER_PID
+    start_follower "$SCRATCH/f2" "$SCRATCH/f1port" "$SCRATCH/f2port"
+    SERVER_PID=$F1_PID
+    "$LOADGEN" --port-file "$SCRATCH/f1port" --mode fill \
+        --keys 2000 --key-base 300000 --connections 1 --threads 1 \
+        > /dev/null || fail "write to the promoted node"
+    caught_up "$SCRATCH/f2port"
+    [ "$(log_start "$SCRATCH/f2/repl")" -gt 0 ] \
+        || fail "second follower caught up without a snapshot"
+    same_data "$SCRATCH/f1port" "$SCRATCH/f2port"
+
+    stop_follower
+    kill -TERM "$SERVER_PID"
+    wait "$SERVER_PID"
+    RC=$?
+    SERVER_PID=""
     [ "$RC" -eq 0 ] || fail "promoted node exit code $RC"
     ;;
 

@@ -418,6 +418,49 @@ TEST(PayloadCodecTest, ScanResponseRoundTrip)
     EXPECT_TRUE(truncated);
 }
 
+TEST(PayloadCodecTest, ReplSnapshotRoundTripAndRejects)
+{
+    Bytes chunk;
+    encodeReplSnapshot(chunk, 4096, 77, false, "records");
+    uint64_t base = 0, seq = 0;
+    bool done = true;
+    BytesView records;
+    ASSERT_TRUE(
+        decodeReplSnapshot(chunk, base, seq, done, records).isOk());
+    EXPECT_EQ(base, 4096u);
+    EXPECT_EQ(seq, 77u);
+    EXPECT_FALSE(done);
+    EXPECT_EQ(records, "records");
+
+    Bytes end;
+    encodeReplSnapshot(end, 4096, 77, true, BytesView());
+    ASSERT_TRUE(
+        decodeReplSnapshot(end, base, seq, done, records).isOk());
+    EXPECT_TRUE(done);
+    EXPECT_TRUE(records.empty());
+
+    // The end frame carries no records; the flag is 0 or 1; and a
+    // payload cut before the flag is malformed.
+    Bytes bad_end;
+    encodeReplSnapshot(bad_end, 1, 1, true, BytesView());
+    bad_end += "x";
+    EXPECT_EQ(decodeReplSnapshot(bad_end, base, seq, done, records)
+                  .code(),
+              StatusCode::InvalidArgument);
+    Bytes bad_flag = end;
+    bad_flag[bad_flag.size() - 1] = 2;
+    EXPECT_EQ(decodeReplSnapshot(bad_flag, base, seq, done, records)
+                  .code(),
+              StatusCode::InvalidArgument);
+    EXPECT_EQ(decodeReplSnapshot(BytesView(end).substr(0, 2), base,
+                                 seq, done, records)
+                  .code(),
+              StatusCode::InvalidArgument);
+    EXPECT_STREQ(
+        opcodeName(static_cast<uint8_t>(Opcode::ReplSnapshot)),
+        "replsnapshot");
+}
+
 TEST(WireStatusTest, StatusMappingIsLossless)
 {
     // Engine statuses must cross the wire and come back as the

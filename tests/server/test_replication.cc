@@ -6,8 +6,9 @@
  * sealed segments, reconnect + resume after a dropped subscriber,
  * semi-sync acks (with and without a live follower), sticky
  * degraded mode on fault-injected replay errors, PROMOTE, the
- * NotPrimary role check, SUBSCRIBE handshake validation, and the
- * shutdown ordering that flushes send queues before exit.
+ * NotPrimary role check, SUBSCRIBE handshake validation, the
+ * shutdown ordering that flushes send queues before exit, and
+ * snapshot catch-up for a follower below the primary's log start.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "kvstore/btree_store.hh"
 #include "kvstore/locked_store.hh"
 #include "kvstore/log_store.hh"
+#include "kvstore/lsm_store.hh"
 #include "obs/metrics.hh"
 #include "server/client.hh"
 #include "server/net_socket.hh"
@@ -64,6 +66,7 @@ struct NodeConfig
     uint64_t segment_bytes = 4u << 20;
     Env *env = nullptr; //!< Engine AND repl log env.
     int conn_idle_timeout_ms = 0;
+    bool lsm = false; //!< Ordered LSM engine (snapshots) vs log.
 };
 
 NodeConfig
@@ -84,12 +87,21 @@ class ReplNode
   public:
     explicit ReplNode(const NodeConfig &config)
     {
-        kv::LogStoreOptions engine_options;
-        engine_options.dir = config.dir + "/engine";
-        engine_options.env = config.env;
-        auto engine = kv::AppendLogStore::open(engine_options);
-        engine.status().expectOk("engine open");
-        engine_ = engine.take();
+        if (config.lsm) {
+            kv::LSMOptions engine_options;
+            engine_options.dir = config.dir + "/engine";
+            engine_options.env = config.env;
+            auto engine = kv::LSMStore::open(engine_options);
+            engine.status().expectOk("engine open");
+            engine_ = engine.take();
+        } else {
+            kv::LogStoreOptions engine_options;
+            engine_options.dir = config.dir + "/engine";
+            engine_options.env = config.env;
+            auto engine = kv::AppendLogStore::open(engine_options);
+            engine.status().expectOk("engine open");
+            engine_ = engine.take();
+        }
         locked_ =
             std::make_unique<kv::LockedKVStore>(*engine_);
 
@@ -105,6 +117,7 @@ class ReplNode
         ropts.seed = 42;
         ropts.env = config.env;
         ropts.metrics = &metrics_;
+        ropts.snapshot_catch_up = config.lsm;
         auto hub = ReplicationHub::open(ropts);
         hub.status().expectOk("hub open");
         hub_ = hub.take();
@@ -244,6 +257,74 @@ TEST(Replication, FollowerCatchesUpFromSealedSegments)
         EXPECT_TRUE(follower.has(makeKey(i), makeValue(i, 48)));
     EXPECT_TRUE(waitFor(
         [&] { return follower.gauge("repl.lag_bytes") == 0; }));
+}
+
+/** Every key/value pair of `store`, in scan order. */
+std::vector<std::pair<Bytes, Bytes>>
+scanAll(kv::KVStore &store)
+{
+    std::vector<std::pair<Bytes, Bytes>> out;
+    store.scan(BytesView(), BytesView(), [&](BytesView k, BytesView v) {
+        out.emplace_back(Bytes(k), Bytes(v));
+        return true;
+    }).expectOk("scan");
+    return out;
+}
+
+TEST(Replication, FollowerBelowLogStartCatchesUpFromSnapshot)
+{
+    ScratchDir dir("repl_snapshot");
+    NodeConfig pc = makeConfig(dir.path() + "/p");
+    pc.lsm = true;
+    pc.segment_bytes = 1024; // window = 16 KiB of log
+    ReplNode primary(pc);
+    NodeConfig fc = makeConfig(dir.path() + "/f");
+    fc.lsm = true;
+    fc.primary_host = "127.0.0.1";
+    fc.primary_port = primary.port();
+
+    auto client = primary.connect();
+    ASSERT_TRUE(client);
+    {
+        ReplNode follower(fc);
+        for (uint64_t i = 0; i < 20; ++i)
+            ASSERT_TRUE(client->put(makeKey(i), "old").isOk());
+        ASSERT_TRUE(waitFor(
+            [&] { return follower.has(makeKey(19), "old"); }));
+    }
+
+    // Follower down: deletes and overwrites of keys it holds, then
+    // far more log than the window, so its offset is dropped.
+    for (uint64_t i = 0; i < 5; ++i)
+        ASSERT_TRUE(client->del(makeKey(i)).isOk());
+    for (uint64_t i = 5; i < 10; ++i)
+        ASSERT_TRUE(client->put(makeKey(i), "new").isOk());
+    for (uint64_t i = 100; i < 700; ++i)
+        ASSERT_TRUE(
+            client->put(makeKey(i), makeValue(i, 48)).isOk());
+    ASSERT_GT(primary.hub().log().startOffset(), 0u);
+
+    ReplNode follower(fc);
+    ASSERT_TRUE(waitFor([&] {
+        return follower.metrics()
+                       .counter("repl.snapshots_applied")
+                       .value() == 1 &&
+               follower.gauge("repl.lag_bytes") == 0;
+    })) << "follower never caught up by snapshot";
+    EXPECT_GE(
+        primary.metrics().counter("repl.snapshots_sent").value(),
+        1u);
+    // The emptied engine lost the stale keys; the data matches.
+    Bytes value;
+    EXPECT_TRUE(follower.engine().get(makeKey(0), value).isNotFound());
+    EXPECT_TRUE(follower.has(makeKey(5), "new"));
+    EXPECT_EQ(scanAll(follower.engine()), scanAll(primary.engine()));
+    EXPECT_GT(follower.hub().log().startOffset(), 0u);
+
+    // The log streams on from the snapshot's base.
+    ASSERT_TRUE(client->put("after", "snapshot").isOk());
+    EXPECT_TRUE(
+        waitFor([&] { return follower.has("after", "snapshot"); }));
 }
 
 TEST(Replication, FollowerReconnectsAndResumes)

@@ -132,7 +132,7 @@ TEST(ServerTest, AllFiveOpsRoundTrip)
     // STATS returns the JSON document.
     Bytes json;
     ASSERT_TRUE(client->stats(json).isOk());
-    EXPECT_NE(json.find("ethkv.server.stats.v2"),
+    EXPECT_NE(json.find("ethkv.server.stats.v3"),
               std::string::npos);
     EXPECT_NE(json.find("btree"), std::string::npos);
 }
@@ -354,6 +354,28 @@ TEST(ServerTest, NotSupportedCrossesTheWire)
     Bytes v;
     ASSERT_TRUE(client.value()->get("k", v).isOk());
     server.stop();
+}
+
+TEST(ServerTest, NotFoundCountsAsMissNotError)
+{
+    // A GET of an absent key is an answer, not a failure: it bumps
+    // server.op.get.not_found and leaves server.op.get.errors at 0.
+    obs::MetricsRegistry metrics;
+    ServerOptions options;
+    options.metrics = &metrics;
+    ServerFixture fx(options);
+    auto client = fx.connect();
+    ASSERT_TRUE(client);
+    ASSERT_TRUE(client->put("present", "v").isOk());
+    Bytes v;
+    ASSERT_TRUE(client->get("present", v).isOk());
+    EXPECT_TRUE(client->get("absent", v).isNotFound());
+    EXPECT_TRUE(client->get("absent-too", v).isNotFound());
+
+    EXPECT_EQ(metrics.counter("server.op.get").value(), 3u);
+    EXPECT_EQ(metrics.counter("server.op.get.not_found").value(), 2u);
+    EXPECT_EQ(metrics.counter("server.op.get.errors").value(), 0u);
+    EXPECT_EQ(metrics.counter("server.op.put.not_found").value(), 0u);
 }
 
 TEST(ServerTest, IODegradedSurfacesAsDistinctWireCode)

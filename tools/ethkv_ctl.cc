@@ -23,6 +23,12 @@
  *       Print the node's replication role (primary / follower /
  *       none) from STATS.
  *
+ *   ethkv_ctl digest --port <n>
+ *       Page a SCAN over the whole key space and print
+ *       "<keys> <xxhash64 hex>" of the key/value pairs in order.
+ *       Two nodes holding the same data print the same line; the
+ *       retention drill compares a follower with its primary so.
+ *
  * All wire access goes through the client library, so the tool
  * inherits its connect/read timeouts: a dead server fails fast
  * instead of wedging the drill.
@@ -37,6 +43,8 @@
 
 #include "common/logging.hh"
 #include "common/status.hh"
+#include "common/varint.hh"
+#include "common/xxhash.hh"
 #include "obs/json.hh"
 #include "server/client.hh"
 
@@ -60,7 +68,8 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s <promote|wait-caught-up|role> [options]\n"
+        "usage: %s <promote|wait-caught-up|role|digest>"
+        " [options]\n"
         "  --host <ipv4>       server address (default"
         " 127.0.0.1)\n"
         "  --port <n>          server port\n"
@@ -213,6 +222,31 @@ cmdRole(server::Client &client)
     return 0;
 }
 
+int
+cmdDigest(server::Client &client)
+{
+    uint64_t keys = 0;
+    uint64_t hash = 0;
+    Bytes start;
+    for (;;) {
+        server::ScanResult page;
+        client.scan(start, BytesView(), 1024, page).expectOk("SCAN");
+        for (const server::ScanEntry &e : page.entries) {
+            Bytes pair;
+            appendVarint(pair, e.key.size());
+            pair += e.key;
+            pair += e.value;
+            hash = xxhash64(pair, hash);
+            ++keys;
+        }
+        if (!page.truncated || page.entries.empty())
+            break;
+        start = page.entries.back().key + '\0';
+    }
+    std::printf("%" PRIu64 " %016" PRIx64 "\n", keys, hash);
+    return 0;
+}
+
 } // namespace
 
 int
@@ -233,6 +267,8 @@ main(int argc, char **argv)
         return cmdWaitCaughtUp(*client.value(), flags);
     if (flags.command == "role")
         return cmdRole(*client.value());
+    if (flags.command == "digest")
+        return cmdDigest(*client.value());
 
     std::fprintf(stderr, "unknown command: %s\n",
                  flags.command.c_str());

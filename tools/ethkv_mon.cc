@@ -2,7 +2,7 @@
  * @file
  * ethkv_mon — live terminal dashboard for a running ethkvd.
  *
- * Polls the server's STATS op (ethkv.server.stats.v2) over the
+ * Polls the server's STATS op (ethkv.server.stats.v3) over the
  * wire, diffs consecutive snapshots into per-second rates, and
  * redraws a plain-ANSI dashboard (no curses): per-op counts, rates,
  * and latency percentiles; the sampled per-stage pipeline
@@ -188,7 +188,7 @@ const char *const kStages[] = {"read",   "decode", "exec",
 /**
  * Render one dashboard frame from a stats/metrics document.
  *
- * `root` is either an ethkv.server.stats.v2 document (metrics
+ * `root` is either an ethkv.server.stats.v3 document (metrics
  * nested under "metrics") or a bare metrics object; both shapes
  * resolve through the same lookups.
  */
@@ -222,21 +222,26 @@ renderFrame(const obs::JsonValue &root, const PrevCounters &prev,
         metricU64(metrics, "counters",
                   "server.slowops.recorded"));
 
-    std::printf("%-10s %12s %10s %8s %8s %8s %8s\n", "op",
-                "count", "rate/s", "errors", "p50us", "p99us",
-                "p999us");
+    std::printf("%-10s %12s %10s %8s %7s %8s %8s %8s\n", "op",
+                "count", "rate/s", "errors", "miss%", "p50us",
+                "p99us", "p999us");
     for (const char *op : kOps) {
         std::string base = std::string("server.op.") + op;
         uint64_t count = metricU64(metrics, "counters", base);
         if (count == 0)
             continue;
         std::string lat = base + ".latency_ns";
+        // NotFound answers are misses, not errors (stats.v3).
+        uint64_t misses =
+            metricU64(metrics, "counters", base + ".not_found");
         std::printf(
-            "%-10s %12" PRIu64 " %10.0f %8" PRIu64 " %8" PRIu64
+            "%-10s %12" PRIu64 " %10.0f %8" PRIu64 " %7.1f %8" PRIu64
             " %8" PRIu64 " %8" PRIu64 "\n",
             op, count,
             rateOf(prev, base, count, elapsed_ms, have_prev),
             metricU64(metrics, "counters", base + ".errors"),
+            100.0 * static_cast<double>(misses) /
+                static_cast<double>(count),
             histU64(metrics, lat, "p50") / 1000,
             histU64(metrics, lat, "p99") / 1000,
             histU64(metrics, lat, "p999") / 1000);
