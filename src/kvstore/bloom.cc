@@ -37,13 +37,17 @@ BloomFilter::fromBytes(BytesView data)
     return f;
 }
 
-void
-BloomFilter::add(BytesView key)
+BloomFilter::KeyHash
+BloomFilter::hashKey(BytesView key)
 {
-    uint64_t h1 = xxhash64(key, 0);
-    uint64_t h2 = xxhash64(key, 0x9e3779b97f4a7c15ULL);
+    return {xxhash64(key, 0), xxhash64(key, 0x9e3779b97f4a7c15ULL)};
+}
+
+void
+BloomFilter::add(const KeyHash &h)
+{
     for (size_t i = 0; i < hash_count_; ++i) {
-        uint64_t bit = (h1 + i * h2) % bit_count_;
+        uint64_t bit = (h.h1 + i * h.h2) % bit_count_;
         bits_[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
     }
 }
@@ -51,10 +55,9 @@ BloomFilter::add(BytesView key)
 bool
 BloomFilter::mayContain(BytesView key) const
 {
-    uint64_t h1 = xxhash64(key, 0);
-    uint64_t h2 = xxhash64(key, 0x9e3779b97f4a7c15ULL);
+    const KeyHash h = hashKey(key);
     for (size_t i = 0; i < hash_count_; ++i) {
-        uint64_t bit = (h1 + i * h2) % bit_count_;
+        uint64_t bit = (h.h1 + i * h.h2) % bit_count_;
         if (!(bits_[bit / 8] & (1u << (bit % 8))))
             return false;
     }

@@ -36,8 +36,20 @@ class BloomFilter
     /** Reconstruct a filter from its serialized bits. */
     static BloomFilter fromBytes(BytesView data);
 
+    /** The two base hashes every probe of a key derives from. */
+    struct KeyHash
+    {
+        uint64_t h1;
+        uint64_t h2;
+    };
+
+    static KeyHash hashKey(BytesView key);
+
     /** Insert a key. */
-    void add(BytesView key);
+    void add(BytesView key) { add(hashKey(key)); }
+
+    /** Insert a key by its hashes; sets the bits add(key) would. */
+    void add(const KeyHash &h);
 
     /** @return false iff the key is definitely absent. */
     bool mayContain(BytesView key) const;

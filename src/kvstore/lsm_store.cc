@@ -1,6 +1,7 @@
 #include "kvstore/lsm_store.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -27,6 +28,23 @@ namespace
  */
 constexpr uint32_t kMaintenanceTracePid = 1;
 constexpr uint32_t kMaintenanceTraceTid = 1000;
+
+/** kv.lsm.compaction.l<N>.bytes_written: compaction output bytes
+ *  written into level N, summed over every LSM in the process. */
+obs::Counter &
+levelCompactionBytes(int level)
+{
+    static const auto counters = [] {
+        std::array<obs::Counter *, LSMStore::max_levels> c{};
+        for (int n = 0; n < LSMStore::max_levels; ++n) {
+            c[n] = &obs::MetricsRegistry::global().counter(
+                "kv.lsm.compaction.l" + std::to_string(n) +
+                ".bytes_written");
+        }
+        return c;
+    }();
+    return *counters[level];
+}
 
 /** Decoded MANIFEST contents (plain text, one directive a line). */
 struct ManifestImage
@@ -620,8 +638,7 @@ Status
 LSMStore::writeTableFromMem(const MemTable &mem, uint64_t file_no,
                             uint64_t &file_bytes)
 {
-    auto writer = SSTableWriter::create(tablePath(file_no),
-                                        mem.entryCount(), env_);
+    auto writer = SSTableWriter::create(tablePath(file_no), env_);
     if (!writer.ok())
         return writer.status();
     Status add_status = Status::ok();
@@ -717,6 +734,38 @@ LSMStore::compactionNeededLocked() const
     return false;
 }
 
+size_t
+pickMinOverlapTable(const std::vector<TableSpan> &level,
+                    const std::vector<TableSpan> &next)
+{
+    ETHKV_DCHECK(!level.empty());
+    size_t best = 0;
+    double best_ratio = 0;
+    // Both runs are sorted and disjoint, so the first next-level
+    // table a level table can overlap only moves right.
+    size_t first = 0;
+    for (size_t i = 0; i < level.size(); ++i) {
+        const TableSpan &t = level[i];
+        while (first < next.size() &&
+               next[first].largest < t.smallest) {
+            ++first;
+        }
+        uint64_t overlap = 0;
+        for (size_t j = first;
+             j < next.size() && next[j].smallest <= t.largest; ++j) {
+            overlap += next[j].bytes;
+        }
+        double ratio =
+            static_cast<double>(overlap) /
+            static_cast<double>(std::max<uint64_t>(t.bytes, 1));
+        if (i == 0 || ratio < best_ratio) {
+            best = i;
+            best_ratio = ratio;
+        }
+    }
+    return best;
+}
+
 bool
 LSMStore::pickCompactionLocked(TableVec &inputs, int &target_level)
 {
@@ -747,15 +796,27 @@ LSMStore::pickCompactionLocked(TableVec &inputs, int &target_level)
         target_level = 1;
         return true;
     }
+    auto spans = [](const TableVec &tables) {
+        std::vector<TableSpan> out;
+        out.reserve(tables.size());
+        for (const auto &t : tables) {
+            const SSTableProps &p = t->reader->props();
+            out.push_back({p.smallest_key, p.largest_key,
+                           t->reader->fileBytes()});
+        }
+        return out;
+    };
     for (int level = 1; level < max_levels - 1; ++level) {
         if (levels[level].empty() ||
             levelBytesLocked(level) <= levelLimit(level)) {
             continue;
         }
-        // Pick the file with the smallest key (simple deterministic
-        // rotation) plus everything it overlaps one level down.
-        inputs.push_back(levels[level][0]);
-        const SSTableProps &p = levels[level][0]->reader->props();
+        // The least-overlapping file plus everything it overlaps one
+        // level down.
+        const auto &pick = levels[level][pickMinOverlapTable(
+            spans(levels[level]), spans(levels[level + 1]))];
+        inputs.push_back(pick);
+        const SSTableProps &p = pick->reader->props();
         for (const auto &t : levels[level + 1]) {
             const SSTableProps &q = t->reader->props();
             if (BytesView(q.largest_key) <
@@ -803,7 +864,6 @@ LSMStore::runCompaction(std::unique_lock<std::mutex> &lock,
     ++stats_.compactions;
 
     Bytes smallest, largest;
-    uint64_t input_entries = 0;
     bool first = true;
     for (const auto &t : inputs) {
         const SSTableProps &p = t->reader->props();
@@ -812,7 +872,6 @@ LSMStore::runCompaction(std::unique_lock<std::mutex> &lock,
         if (first || p.largest_key > largest)
             largest = p.largest_key;
         first = false;
-        input_entries += p.entry_count;
     }
     bool drop_tombstones =
         bottommostForRangeLocked(target_level, smallest, largest);
@@ -861,8 +920,7 @@ LSMStore::runCompaction(std::unique_lock<std::mutex> &lock,
                 file_no = next_file_no_++;
             }
             output_nos.push_back(file_no);
-            auto w = SSTableWriter::create(tablePath(file_no),
-                                           input_entries, env_);
+            auto w = SSTableWriter::create(tablePath(file_no), env_);
             if (!w.ok()) {
                 s = w.status();
                 break;
@@ -904,6 +962,7 @@ LSMStore::runCompaction(std::unique_lock<std::mutex> &lock,
         return s;
 
     span.setArg("bytes", new_bytes);
+    levelCompactionBytes(target_level).inc(new_bytes);
     stats_.compaction_bytes += new_bytes;
     stats_.bytes_written += new_bytes;
     stats_.tombstones_dropped += dropped_tombstones;
@@ -990,22 +1049,46 @@ LSMStore::get(BytesView key, Bytes &value)
         }
     }
 
+    SSTableReader::GetCost cost;
+    Status s = getFromTables(*ver, key, entry, cost);
+    static obs::Counter &tables_probed =
+        obs::MetricsRegistry::global().counter(
+            "kv.lsm.get.tables_probed");
+    static obs::Counter &bloom_negatives =
+        obs::MetricsRegistry::global().counter(
+            "kv.lsm.get.bloom_negatives");
+    static obs::Counter &block_bytes =
+        obs::MetricsRegistry::global().counter(
+            "kv.lsm.get.block_bytes");
+    if (cost.tables_probed != 0)
+        tables_probed.inc(cost.tables_probed);
+    if (cost.bloom_negatives != 0)
+        bloom_negatives.inc(cost.bloom_negatives);
+    if (cost.block_bytes != 0)
+        block_bytes.inc(cost.block_bytes);
+    if (!s.isOk())
+        return s;
+    if (entry.type == EntryType::Tombstone)
+        return Status::notFound();
+    value = std::move(entry.value);
+    return Status::ok();
+}
+
+Status
+LSMStore::getFromTables(const Version &ver, BytesView key,
+                        InternalEntry &entry,
+                        SSTableReader::GetCost &cost)
+{
     // L0: newest first; files may overlap.
-    for (const auto &t : ver->levels[0]) {
-        Status s = t->reader->get(key, entry);
-        if (s.isOk()) {
-            if (entry.type == EntryType::Tombstone)
-                return Status::notFound();
-            value = std::move(entry.value);
-            return Status::ok();
-        }
+    for (const auto &t : ver.levels[0]) {
+        Status s = t->reader->get(key, entry, &cost);
         if (!s.isNotFound())
             return s;
     }
 
     // Deeper levels: at most one candidate file per level.
     for (int level = 1; level < max_levels; ++level) {
-        const auto &files = ver->levels[level];
+        const auto &files = ver.levels[level];
         if (files.empty())
             continue;
         // Last file whose smallest key <= key.
@@ -1022,16 +1105,7 @@ LSMStore::get(BytesView key, Bytes &value)
         }
         if (lo == 0)
             continue;
-        const auto &t = files[lo - 1];
-        if (key > BytesView(t->reader->props().largest_key))
-            continue;
-        Status s = t->reader->get(key, entry);
-        if (s.isOk()) {
-            if (entry.type == EntryType::Tombstone)
-                return Status::notFound();
-            value = std::move(entry.value);
-            return Status::ok();
-        }
+        Status s = files[lo - 1]->reader->get(key, entry, &cost);
         if (!s.isNotFound())
             return s;
     }

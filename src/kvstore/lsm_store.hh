@@ -78,6 +78,29 @@ struct LSMOptions
     obs::TraceEventLog *trace_log = nullptr;
 };
 
+/** One table as the compaction picker sees it. */
+struct TableSpan
+{
+    BytesView smallest;
+    BytesView largest;
+    uint64_t bytes = 0;
+};
+
+/**
+ * Choose which level-n table to compact into level n+1: the one
+ * whose overlapping level-(n+1) bytes are the smallest multiple of
+ * its own bytes (RocksDB's kMinOverlappingRatio), so each
+ * compaction rewrites as little of the level below as it can.
+ * Ties go to the table with the smallest key.
+ *
+ * @param level Level n's tables: non-empty, sorted by smallest key,
+ *        non-overlapping.
+ * @param next Level n+1's tables, in the same order (may be empty).
+ * @return Index into level.
+ */
+size_t pickMinOverlapTable(const std::vector<TableSpan> &level,
+                           const std::vector<TableSpan> &next);
+
 /**
  * The LSM engine. Thread-safe: any number of concurrent readers and
  * writers, plus one background maintenance thread owned by the
@@ -235,6 +258,13 @@ class LSMStore : public KVStore
     void maybeStallLocked(std::unique_lock<std::mutex> &lock);
 
     bool compactionNeededLocked() const;
+
+    /** Search a table snapshot, newest first, adding what the
+     *  lookup read to cost. NotFound when no table holds the key;
+     *  a tombstone comes back as an Ok entry. */
+    Status getFromTables(const Version &ver, BytesView key,
+                         InternalEntry &entry,
+                         SSTableReader::GetCost &cost);
 
     /**
      * Pick one compaction under the lock: inputs (newest source

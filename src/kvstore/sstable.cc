@@ -110,10 +110,8 @@ readString(BytesView data, size_t &pos, Bytes &out)
 // ---------------------------------------------------------------
 
 SSTableWriter::SSTableWriter(std::string path,
-                             std::unique_ptr<WritableFile> file,
-                             size_t expected_keys)
-    : path_(std::move(path)), file_(std::move(file)),
-      filter_(expected_keys)
+                             std::unique_ptr<WritableFile> file)
+    : path_(std::move(path)), file_(std::move(file))
 {}
 
 SSTableWriter::~SSTableWriter()
@@ -126,8 +124,7 @@ SSTableWriter::~SSTableWriter()
 }
 
 Result<std::unique_ptr<SSTableWriter>>
-SSTableWriter::create(const std::string &path, size_t expected_keys,
-                      Env *env)
+SSTableWriter::create(const std::string &path, Env *env)
 {
     if (!env)
         env = Env::defaultEnv();
@@ -135,7 +132,7 @@ SSTableWriter::create(const std::string &path, size_t expected_keys,
     if (!file.ok())
         return file.status();
     return std::unique_ptr<SSTableWriter>(
-        new SSTableWriter(path, file.take(), expected_keys));
+        new SSTableWriter(path, file.take()));
 }
 
 Status
@@ -159,7 +156,7 @@ SSTableWriter::add(const InternalEntry &entry)
         props_.max_seq = entry.seq;
     props_.data_bytes += entry.key.size() + entry.value.size();
 
-    filter_.add(entry.key);
+    key_hashes_.push_back(BloomFilter::hashKey(entry.key));
     appendEntry(block_, entry);
     block_last_key_ = entry.key;
 
@@ -191,7 +188,10 @@ SSTableWriter::finish()
     if (!s.isOk())
         return s;
 
-    Bytes filter_block = filter_.toBytes();
+    BloomFilter filter(key_hashes_.size());
+    for (const BloomFilter::KeyHash &h : key_hashes_)
+        filter.add(h);
+    Bytes filter_block = filter.toBytes();
     uint64_t filter_off = file_offset_;
 
     Bytes index_block;
@@ -319,6 +319,7 @@ SSTableReader::load(uint64_t file_bytes)
 
     filter_ = std::make_unique<BloomFilter>(
         BloomFilter::fromBytes(filter_block));
+    filter_bytes_ = filter_len;
 
     size_t pos = 0;
     while (pos < index_block.size()) {
@@ -399,12 +400,18 @@ SSTableReader::readBlock(size_t block_idx,
 }
 
 Status
-SSTableReader::get(BytesView key, InternalEntry &entry)
+SSTableReader::get(BytesView key, InternalEntry &entry, GetCost *cost)
 {
-    if (!mayContain(key))
-        return Status::notFound();
+    // The range check is two compares; the filter costs two hashes.
     if (key < BytesView(props_.smallest_key) ||
         key > BytesView(props_.largest_key)) {
+        return Status::notFound();
+    }
+    if (cost)
+        ++cost->tables_probed;
+    if (!mayContain(key)) {
+        if (cost)
+            ++cost->bloom_negatives;
         return Status::notFound();
     }
     int idx = findBlock(key);
@@ -419,6 +426,8 @@ SSTableReader::get(BytesView key, InternalEntry &entry)
     Status s = readBlockBytes(static_cast<size_t>(idx), block);
     if (!s.isOk())
         return s;
+    if (cost)
+        cost->block_bytes += block.size();
     bool found = false;
     bool intact = forEachEntry(block, [&](const EntryView &e) {
         if (found || e.key != key)

@@ -54,15 +54,15 @@ class SSTableWriter
 {
   public:
     /**
-     * Begin writing a table file.
+     * Begin writing a table file. The bloom filter is sized in
+     * finish() from the number of keys actually added, at 10 bits
+     * per key.
      *
      * @param path Destination file (truncated if present).
-     * @param expected_keys Sizing hint for the bloom filter.
      * @param env Filesystem to use; nullptr = Env::defaultEnv().
      */
     static Result<std::unique_ptr<SSTableWriter>> create(
-        const std::string &path, size_t expected_keys,
-        Env *env = nullptr);
+        const std::string &path, Env *env = nullptr);
 
     ~SSTableWriter();
 
@@ -87,8 +87,7 @@ class SSTableWriter
 
   private:
     SSTableWriter(std::string path,
-                  std::unique_ptr<WritableFile> file,
-                  size_t expected_keys);
+                  std::unique_ptr<WritableFile> file);
 
     Status flushBlock();
 
@@ -96,7 +95,9 @@ class SSTableWriter
 
     std::string path_;
     std::unique_ptr<WritableFile> file_;
-    BloomFilter filter_;
+    //!< One hash pair per added key; the filter is built from them
+    //!< in finish(), once the key count is known.
+    std::vector<BloomFilter::KeyHash> key_hashes_;
     Bytes block_;
     Bytes block_last_key_;
     bool finished_ = false;
@@ -131,6 +132,19 @@ class SSTableReader
     SSTableReader(const SSTableReader &) = delete;
     SSTableReader &operator=(const SSTableReader &) = delete;
 
+    /** What point lookups cost, summed over the tables probed. */
+    struct GetCost
+    {
+        //! Tables whose key range covers the key (so the filter was
+        //! consulted).
+        uint64_t tables_probed = 0;
+        //! Of those, tables whose bloom filter ruled the key out.
+        uint64_t bloom_negatives = 0;
+        //! Data-block bytes read; every probe the filter lets
+        //! through reads exactly one block.
+        uint64_t block_bytes = 0;
+    };
+
     /**
      * Point lookup.
      *
@@ -139,9 +153,11 @@ class SSTableReader
      * malformed entry anywhere in it returns Corruption.
      *
      * @param entry Receives the entry (possibly a tombstone).
+     * @param cost If set, this lookup's cost is added to it.
      * @return NotFound if this table has no entry for the key.
      */
-    Status get(BytesView key, InternalEntry &entry);
+    Status get(BytesView key, InternalEntry &entry,
+               GetCost *cost = nullptr);
 
     /** Bloom-filter check; false means definitely absent. */
     bool mayContain(BytesView key) const;
@@ -152,6 +168,7 @@ class SSTableReader
     const SSTableProps &props() const { return props_; }
     const std::string &path() const { return path_; }
     uint64_t fileBytes() const { return file_bytes_; }
+    uint64_t filterBytes() const { return filter_bytes_; }
 
     /** Bytes fetched from disk by this reader so far. */
     uint64_t bytesRead() const
@@ -190,6 +207,7 @@ class SSTableReader
     std::unique_ptr<BloomFilter> filter_;
     SSTableProps props_;
     uint64_t file_bytes_ = 0;
+    uint64_t filter_bytes_ = 0;
     //!< Atomic: concurrent gets/scans against a version snapshot
     //!< share one reader.
     std::atomic<uint64_t> bytes_read_{0};

@@ -840,7 +840,11 @@ class ReplicationSender
     }
 
     /** Bounded final drain on graceful shutdown: push everything
-     *  the log holds to every subscriber or give up after 2s. */
+     *  the log holds to every subscriber and wait until each has
+     *  acked it, or give up after 2s. Written is not enough: the
+     *  sockets close next, and closing one with the follower's
+     *  acks still unread sends a reset, which can discard bytes
+     *  the follower has received but not yet read. */
     void
     finalFlush()
     {
@@ -852,8 +856,7 @@ class ReplicationSender
             bool behind = false;
             for (const auto &kv : subs_)
                 if (kv.second.snapshot ||
-                    kv.second.next_offset < end ||
-                    kv.second.backlog() > 0)
+                    kv.second.acked_offset < end)
                     behind = true;
             if (!behind || subs_.empty())
                 return;
@@ -868,8 +871,7 @@ class ReplicationSender
             if (!n.ok())
                 return;
             for (int i = 0; i < n.value(); ++i)
-                if (events[i].tag == kWakeTag)
-                    net::drainEventFd(wake_fd_);
+                handleEvent(events[i]);
         }
     }
 
@@ -1278,6 +1280,8 @@ ReplicationHub::ReplicationHub(const ReplicationOptions &options)
 {
     lag_bytes_ = &metrics_.gauge("repl.lag_bytes");
     lag_records_ = &metrics_.gauge("repl.lag_records");
+    log_end_offset_ = &metrics_.gauge("repl.log_end_offset");
+    snapshot_pending_ = &metrics_.gauge("repl.snapshot_pending");
     follower_connected_ =
         &metrics_.gauge("repl.follower_connected");
     follower_degraded_ =
@@ -1474,6 +1478,13 @@ ReplicationHub::dropSubscribersForTest()
     auto *sender = sender_ptr_.load(std::memory_order_acquire);
     if (sender != nullptr)
         sender->dropAll();
+}
+
+void
+ReplicationHub::refreshLogGauges()
+{
+    log_end_offset_->set(static_cast<int64_t>(log_->endOffset()));
+    snapshot_pending_->set(log_->snapshotPending() ? 1 : 0);
 }
 
 void

@@ -236,6 +236,15 @@ class ReplicationHub
     Status promote(uint64_t *end_offset);
 
     uint64_t endOffset() const { return log_->endOffset(); }
+
+    /**
+     * Set the gauges read off the log: repl.log_end_offset (on a
+     * follower, everything up to it is applied to the engine) and
+     * repl.snapshot_pending. The server calls this before every
+     * STATS reply, so a scrape sees the log as it is now.
+     */
+    void refreshLogGauges();
+
     bool snapshotCatchUp() const
     {
         return options_.snapshot_catch_up;
@@ -350,6 +359,8 @@ class ReplicationHub
     // Metrics (shared by both roles; see DESIGN.md §13).
     obs::Gauge *lag_bytes_;
     obs::Gauge *lag_records_;
+    obs::Gauge *log_end_offset_;
+    obs::Gauge *snapshot_pending_;
     obs::Gauge *follower_connected_;
     obs::Gauge *follower_degraded_;
     obs::Counter *reconnects_;

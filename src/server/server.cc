@@ -534,6 +534,8 @@ Server::statsJson()
                 ? "none"
                 : (options_.repl->isPrimary() ? "primary"
                                               : "follower"));
+    if (options_.repl != nullptr)
+        options_.repl->refreshLogGauges();
     // Full registry snapshot (ethkv.metrics.v1): engine metrics,
     // per-stage histograms with percentile gauges, stall and
     // maintenance counters — the whole telemetry plane in one

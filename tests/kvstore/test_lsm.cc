@@ -2,7 +2,8 @@
  * @file
  * LSM store tests: CRUD, flush/compaction behaviour, scans across
  * levels, WAL crash recovery, reopen persistence, tombstone
- * lifecycle.
+ * lifecycle, the compaction picker, and GET-path read
+ * attribution.
  */
 
 #include <gtest/gtest.h>
@@ -490,6 +491,227 @@ TEST(LsmTest, ConcurrentWritersAndScanners)
         }
     }
     EXPECT_EQ(s.liveKeyCount(), kWriters * kPerWriter);
+}
+
+// -- Compaction picker ------------------------------------------
+
+TEST(PickMinOverlapTableTest, FileWithZeroOverlapWins)
+{
+    // Level n: [a,c] [e,g] [k,m]; level n+1 covers all but [e,g].
+    std::vector<TableSpan> level = {
+        {"a", "c", 100}, {"e", "g", 100}, {"k", "m", 100}};
+    std::vector<TableSpan> next = {{"a", "d", 50}, {"h", "z", 50}};
+    EXPECT_EQ(pickMinOverlapTable(level, next), 1u);
+}
+
+TEST(PickMinOverlapTableTest, RatioDecidesNotAbsoluteBytes)
+{
+    // [a,c] overlaps 300 bytes, [e,g] only 100; but [a,c] holds
+    // 1000 bytes (ratio 0.3) against [e,g]'s 100 (ratio 1.0).
+    std::vector<TableSpan> level = {{"a", "c", 1000},
+                                    {"e", "g", 100}};
+    std::vector<TableSpan> next = {
+        {"a", "b", 150}, {"bb", "c", 150}, {"f", "f", 100}};
+    EXPECT_EQ(pickMinOverlapTable(level, next), 0u);
+}
+
+TEST(PickMinOverlapTableTest, TiesGoToTheSmallestKey)
+{
+    std::vector<TableSpan> level = {
+        {"a", "c", 100}, {"e", "g", 200}, {"k", "m", 100}};
+    std::vector<TableSpan> next = {
+        {"b", "b", 50}, {"f", "f", 100}, {"l", "l", 50}};
+    EXPECT_EQ(pickMinOverlapTable(level, next), 0u);
+
+    // A next-level table spanning two level tables counts for both.
+    std::vector<TableSpan> wide = {{"b", "f", 100}, {"l", "l", 10}};
+    EXPECT_EQ(pickMinOverlapTable(level, wide), 2u);
+}
+
+TEST(PickMinOverlapTableTest, EmptyNextLevel)
+{
+    std::vector<TableSpan> level = {{"a", "c", 100},
+                                    {"e", "g", 100}};
+    EXPECT_EQ(pickMinOverlapTable(level, {}), 0u);
+    EXPECT_EQ(pickMinOverlapTable({{"x", "y", 0}}, {}), 0u);
+}
+
+TEST(LsmTest, CompactionWriteAmpStaysInBand)
+{
+    // Random overwrites into a small tree: L1 holds 256 KiB, so the
+    // ~2.2 MB of live data settles into L2. Compaction writes
+    // 5.0-6.1 bytes per user byte with the least-overlap picker and
+    // right-sized filters; picking the smallest-key file, with
+    // filters sized for the whole compaction's input, writes
+    // 9.7-10.1. Background timing moves it, hence a band.
+    ScratchDir dir("lsm");
+    LSMOptions opts;
+    opts.dir = dir.path();
+    opts.memtable_bytes = 64 << 10;
+    opts.level_base_bytes = 256 << 10;
+    opts.target_file_bytes = 64 << 10;
+    auto store = LSMStore::open(opts);
+    ASSERT_TRUE(store.ok());
+    Rng rng(42);
+    for (uint64_t i = 0; i < 60000; ++i) {
+        ASSERT_TRUE(store.value()
+                        ->put(makeKey(rng.nextBounded(20000)),
+                              makeValue(i, 100))
+                        .isOk());
+    }
+    ASSERT_TRUE(store.value()->flush().isOk());
+    const IOStats &st = store.value()->stats();
+    double ratio = static_cast<double>(st.compaction_bytes) /
+                   static_cast<double>(st.logical_bytes_written);
+    EXPECT_GT(ratio, 1.0);
+    EXPECT_LT(ratio, 7.5);
+    EXPECT_TRUE(store.value()->checkInvariants().isOk());
+}
+
+TEST(LsmTest, CompactionOutputsSizeFiltersToTheirKeys)
+{
+    ScratchDir dir("lsm");
+    auto store = LSMStore::open(smallOptions(dir.path()));
+    ASSERT_TRUE(store.ok());
+    const uint64_t n = 8000;
+    for (uint64_t i = 0; i < n; ++i)
+        ASSERT_TRUE(
+            store.value()->put(makeKey(i), makeValue(i)).isOk());
+    ASSERT_TRUE(store.value()->compactAll().isOk());
+    store.value().reset();
+
+    // Every table is now a compaction output holding a slice of the
+    // inputs; each filter carries 10 bits per key it holds, plus
+    // the hash-count byte.
+    uint64_t tables = 0, entries = 0;
+    for (const auto &f :
+         std::filesystem::directory_iterator(dir.path())) {
+        if (f.path().extension() != ".sst")
+            continue;
+        auto reader = SSTableReader::open(f.path().string());
+        ASSERT_TRUE(reader.ok());
+        uint64_t m = reader.value()->props().entry_count;
+        EXPECT_EQ(reader.value()->filterBytes(),
+                  (10 * m + 7) / 8 + 1)
+            << f.path();
+        EXPECT_LT(m, n / 4) << f.path();
+        ++tables;
+        entries += m;
+    }
+    EXPECT_GT(tables, 4u);
+    EXPECT_EQ(entries, n);
+}
+
+// -- GET-path read attribution ----------------------------------
+
+struct GetCounters
+{
+    uint64_t probed, negatives, block_bytes;
+
+    static GetCounters
+    now()
+    {
+        auto &r = obs::MetricsRegistry::global();
+        return {r.counter("kv.lsm.get.tables_probed").value(),
+                r.counter("kv.lsm.get.bloom_negatives").value(),
+                r.counter("kv.lsm.get.block_bytes").value()};
+    }
+
+    GetCounters
+    since(const GetCounters &before) const
+    {
+        return {probed - before.probed,
+                negatives - before.negatives,
+                block_bytes - before.block_bytes};
+    }
+};
+
+TEST(LsmTest, GetCountersAttributeTableReads)
+{
+    // One table: a memtable big enough for every key, then flush.
+    ScratchDir dir("lsm");
+    LSMOptions opts;
+    opts.dir = dir.path();
+    auto store = LSMStore::open(opts);
+    ASSERT_TRUE(store.ok());
+    LSMStore &s = *store.value();
+    for (uint64_t i = 0; i < 2000; ++i)
+        ASSERT_TRUE(s.put(makeKey(i), makeValue(i)).isOk());
+    ASSERT_TRUE(s.flush().isOk());
+    ASSERT_EQ(s.levelFileCounts()[0], 1u);
+    Bytes v;
+
+    // A present key: one table probed, one ~4 KiB block read.
+    GetCounters before = GetCounters::now();
+    ASSERT_TRUE(s.get(makeKey(700), v).isOk());
+    GetCounters d = GetCounters::now().since(before);
+    EXPECT_EQ(d.probed, 1u);
+    EXPECT_EQ(d.negatives, 0u);
+    EXPECT_GT(d.block_bytes, 2048u);
+    EXPECT_LT(d.block_bytes, 8192u);
+
+    // A key outside the table's range probes nothing.
+    before = GetCounters::now();
+    EXPECT_TRUE(s.get("zzz", v).isNotFound());
+    d = GetCounters::now().since(before);
+    EXPECT_EQ(d.probed, 0u);
+    EXPECT_EQ(d.block_bytes, 0u);
+
+    // Absent keys inside the range: each is either rejected by the
+    // bloom filter, reading no block, or a false positive that
+    // reads exactly one.
+    uint64_t negatives = 0;
+    const uint64_t absent = 1999; // "key-<i>-absent" < largest key
+    for (uint64_t i = 0; i < absent; ++i) {
+        before = GetCounters::now();
+        EXPECT_TRUE(s.get(makeKey(i, "absent"), v).isNotFound());
+        d = GetCounters::now().since(before);
+        EXPECT_EQ(d.probed, 1u);
+        if (d.negatives == 1) {
+            EXPECT_EQ(d.block_bytes, 0u);
+            ++negatives;
+        } else {
+            EXPECT_GT(d.block_bytes, 0u);
+        }
+    }
+    EXPECT_GE(negatives, absent * 98 / 100);
+
+    // A memtable hit never reaches the tables.
+    ASSERT_TRUE(s.put("fresh", "v").isOk());
+    before = GetCounters::now();
+    ASSERT_TRUE(s.get("fresh", v).isOk());
+    d = GetCounters::now().since(before);
+    EXPECT_EQ(d.probed, 0u);
+}
+
+TEST(LsmTest, CompactionBytesAreCountedPerTargetLevel)
+{
+    auto level_bytes = [](int n) {
+        return obs::MetricsRegistry::global()
+            .counter("kv.lsm.compaction.l" + std::to_string(n) +
+                     ".bytes_written")
+            .value();
+    };
+    std::vector<uint64_t> before;
+    for (int n = 0; n < LSMStore::max_levels; ++n)
+        before.push_back(level_bytes(n));
+
+    ScratchDir dir("lsm");
+    auto store = LSMStore::open(smallOptions(dir.path()));
+    ASSERT_TRUE(store.ok());
+    for (uint64_t i = 0; i < 5000; ++i)
+        ASSERT_TRUE(
+            store.value()->put(makeKey(i), makeValue(i)).isOk());
+    ASSERT_TRUE(store.value()->flush().isOk());
+
+    uint64_t sum = 0;
+    for (int n = 0; n < LSMStore::max_levels; ++n)
+        sum += level_bytes(n) - before[static_cast<size_t>(n)];
+    // Compaction never writes into L0 (flushes do), and the levels
+    // add up to the store's own compaction_bytes.
+    EXPECT_EQ(level_bytes(0), before[0]);
+    EXPECT_GT(level_bytes(1), before[1]);
+    EXPECT_EQ(sum, store.value()->stats().compaction_bytes);
 }
 
 } // namespace

@@ -27,7 +27,7 @@ std::string
 writeTable(const std::string &path, uint64_t n,
            size_t value_len = 24)
 {
-    auto writer = SSTableWriter::create(path, n);
+    auto writer = SSTableWriter::create(path);
     EXPECT_TRUE(writer.ok());
     for (uint64_t i = 0; i < n; ++i) {
         InternalEntry e{makeKey(i), makeValue(i, value_len), i + 1,
@@ -130,7 +130,7 @@ TEST(SSTableTest, IteratorSeekMidRange)
 TEST(SSTableTest, RejectsOutOfOrderKeys)
 {
     ScratchDir dir("sst");
-    auto writer = SSTableWriter::create(dir.path() + "/t.sst", 10);
+    auto writer = SSTableWriter::create(dir.path() + "/t.sst");
     ASSERT_TRUE(writer.ok());
     InternalEntry a{"bbb", "1", 1, EntryType::Put};
     InternalEntry b{"aaa", "2", 2, EntryType::Put};
@@ -169,7 +169,7 @@ TEST(SSTableTest, LargeValuesSpanBlocks)
 {
     ScratchDir dir("sst");
     std::string path = dir.path() + "/big.sst";
-    auto writer = SSTableWriter::create(path, 10);
+    auto writer = SSTableWriter::create(path);
     ASSERT_TRUE(writer.ok());
     for (uint64_t i = 0; i < 10; ++i) {
         // 20 KiB values: each entry larger than a block.
@@ -204,6 +204,28 @@ TEST(SSTableTest, BloomShortCircuitsAbsentKeys)
     EXPECT_LT(may, 100);
 }
 
+TEST(SSTableTest, FilterIsSizedToTheKeysAdded)
+{
+    // 10 bits per key actually added, plus the hash-count byte: the
+    // writer is no longer told a key count up front.
+    ScratchDir dir("sst");
+    for (uint64_t m : {7u, 1000u, 4321u}) {
+        std::string path = writeTable(
+            dir.path() + "/t" + std::to_string(m) + ".sst", m);
+        auto reader = SSTableReader::open(path);
+        ASSERT_TRUE(reader.ok());
+        EXPECT_EQ(reader.value()->filterBytes(), (10 * m + 7) / 8 + 1)
+            << m;
+        for (uint64_t i = 0; i < m; ++i)
+            ASSERT_TRUE(reader.value()->mayContain(makeKey(i))) << i;
+        uint64_t positives = 0;
+        const uint64_t absent = 20000;
+        for (uint64_t i = 0; i < absent; ++i)
+            positives += reader.value()->mayContain(makeKey(i, "no"));
+        EXPECT_LE(positives, absent * 2 / 100) << m;
+    }
+}
+
 TEST(SSTableTest, MalformedEntryAfterMatchIsCorruption)
 {
     ScratchDir dir("sst");
@@ -213,7 +235,7 @@ TEST(SSTableTest, MalformedEntryAfterMatchIsCorruption)
     // first block.
     constexpr size_t kEntryBytes = 41;
     {
-        auto writer = SSTableWriter::create(path, 50);
+        auto writer = SSTableWriter::create(path);
         ASSERT_TRUE(writer.ok());
         for (uint64_t i = 0; i < 50; ++i) {
             InternalEntry e{makeKey(i), makeValue(i, 24), i + 1,

@@ -316,14 +316,14 @@ case "$MODE" in
     [ "$ROLE" = "follower" ] \
         || fail "expected role=follower, got '$ROLE'"
 
-    # Phase 1: steady-state fill, then require the follower's lag
-    # gauges to drain to zero while the primary is alive.
+    # Phase 1: steady-state fill, then require the follower to
+    # reach the primary's log end while the primary is alive.
     "$LOADGEN" --port-file "$SCRATCH/pport" --mode fill \
         --keys 3000 --connections 2 --threads 1 \
         --acked-file "$SCRATCH/acked1" \
         || fail "phase-1 fill (rc=$?)"
     "$CTL" wait-caught-up --port-file "$SCRATCH/fport" \
-        --timeout-ms 15000 \
+        --primary-port-file "$SCRATCH/pport" --timeout-ms 15000 \
         || fail "follower lag never drained to zero"
 
     # Phase 2: fill in the background and pull the plug on the
@@ -432,8 +432,9 @@ case "$MODE" in
         [ "$a" = "$b" ] || fail "scans differ: $a vs $b"
         echo "server_smoke(retention): scans agree ($a)"
     }
-    caught_up() { # <port file>
-        "$CTL" wait-caught-up --port-file "$1" --timeout-ms 30000 \
+    caught_up() { # <follower port file> <primary port file>
+        "$CTL" wait-caught-up --port-file "$1" \
+            --primary-port-file "$2" --timeout-ms 30000 \
             > /dev/null || fail "follower $1 never caught up"
     }
 
@@ -447,7 +448,7 @@ case "$MODE" in
     start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
     "$LOADGEN" --port-file "$SCRATCH/pport" --mode fill --keys 500 \
         --connections 1 --threads 1 > /dev/null || fail "warm-up"
-    caught_up "$SCRATCH/f1port"
+    caught_up "$SCRATCH/f1port" "$SCRATCH/pport"
     stop_follower
     fill "$SCRATCH/pport" 100000
     check_bounded "$SCRATCH/data/repl"
@@ -456,7 +457,7 @@ case "$MODE" in
 
     # 2. The follower restarts below the log start: snapshot.
     start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
-    caught_up "$SCRATCH/f1port"
+    caught_up "$SCRATCH/f1port" "$SCRATCH/pport"
     [ "$(log_start "$SCRATCH/f1/repl")" -gt 0 ] \
         || fail "follower caught up without a snapshot"
     same_data "$SCRATCH/pport" "$SCRATCH/f1port"
@@ -477,7 +478,7 @@ case "$MODE" in
     wait "$FOLLOWER_PID" 2>/dev/null
     FOLLOWER_PID=""
     start_follower "$SCRATCH/f1" "$SCRATCH/pport" "$SCRATCH/f1port"
-    caught_up "$SCRATCH/f1port"
+    caught_up "$SCRATCH/f1port" "$SCRATCH/pport"
     same_data "$SCRATCH/pport" "$SCRATCH/f1port"
     check_bounded "$SCRATCH/data/repl"
 
@@ -497,7 +498,7 @@ case "$MODE" in
     "$LOADGEN" --port-file "$SCRATCH/f1port" --mode fill \
         --keys 2000 --key-base 300000 --connections 1 --threads 1 \
         > /dev/null || fail "write to the promoted node"
-    caught_up "$SCRATCH/f2port"
+    caught_up "$SCRATCH/f2port" "$SCRATCH/f1port"
     [ "$(log_start "$SCRATCH/f2/repl")" -gt 0 ] \
         || fail "second follower caught up without a snapshot"
     same_data "$SCRATCH/f1port" "$SCRATCH/f2port"

@@ -229,6 +229,42 @@ TEST(Replication, StreamsLiveWritesToFollower)
                 StatusCode::NotSupported);
 }
 
+TEST(Replication, LogEndGaugeMeansApplied)
+{
+    // What `ethkv_ctl wait-caught-up --primary-port-file` relies on:
+    // once a follower's STATS shows repl.log_end_offset at or past
+    // the primary's, with no snapshot pending, every write the
+    // primary acked before that read is in the follower's engine.
+    ScratchDir dir("repl_log_end");
+    ReplNode primary(makeConfig(dir.path() + "/p"));
+    auto client = primary.connect();
+    ASSERT_TRUE(client);
+    for (uint64_t i = 0; i < 100; ++i)
+        ASSERT_TRUE(
+            client->put(makeKey(i), makeValue(i)).isOk());
+    Bytes doc;
+    ASSERT_TRUE(client->stats(doc).isOk());
+    const uint64_t target = primary.gauge("repl.log_end_offset");
+    EXPECT_EQ(target, primary.hub().endOffset());
+    EXPECT_GT(target, 0u);
+
+    NodeConfig fc = makeConfig(dir.path() + "/f");
+    fc.primary_host = "127.0.0.1";
+    fc.primary_port = primary.port();
+    ReplNode follower(fc);
+    auto fclient = follower.connect();
+    ASSERT_TRUE(fclient);
+    EXPECT_TRUE(waitFor([&] {
+        Bytes d;
+        return fclient->stats(d).isOk() &&
+               follower.gauge("repl.follower_connected") == 1 &&
+               follower.gauge("repl.snapshot_pending") == 0 &&
+               follower.gauge("repl.log_end_offset") >= target;
+    })) << "follower never reached the primary's log end";
+    for (uint64_t i = 0; i < 100; ++i)
+        EXPECT_TRUE(follower.has(makeKey(i), makeValue(i))) << i;
+}
+
 TEST(Replication, FollowerCatchesUpFromSealedSegments)
 {
     ScratchDir dir("repl_catchup");

@@ -12,12 +12,18 @@
  *       read-only after a replay error would serve a torn prefix.
  *
  *   ethkv_ctl wait-caught-up --port-file /tmp/f.port \
- *       [--timeout-ms 30000]
- *       Poll the follower's STATS until it is connected to its
- *       primary with zero lag (repl.follower_connected == 1 and
- *       repl.lag_bytes == 0). The failover drill runs this before
- *       PROMOTE so no acked write is left behind on the dead
- *       primary's log. Exit 0 caught up, 3 on timeout.
+ *       --primary-port-file /tmp/p.port [--timeout-ms 30000]
+ *       Read the primary's log end offset once (repl.log_end_offset
+ *       in its STATS), then poll the follower's STATS until it is
+ *       connected, not mid-snapshot, and has applied its log up to
+ *       that offset. Every write the primary acked before the call
+ *       is then in the follower's engine. The drills run this
+ *       before PROMOTE, so no acked write is left behind on a dead
+ *       primary's log, and before comparing digests. The
+ *       follower's repl.lag_bytes cannot serve: it is measured
+ *       against the primary end the follower last heard of, so it
+ *       reads 0 right after a snapshot while the primary holds
+ *       more. Exit 0 caught up, 3 on timeout.
  *
  *   ethkv_ctl role --port <n>
  *       Print the node's replication role (primary / follower /
@@ -59,6 +65,8 @@ struct Flags
     std::string host = "127.0.0.1";
     int port = 0;
     std::string port_file;
+    int primary_port = 0;
+    std::string primary_port_file;
     uint64_t timeout_ms = 30000;
     uint64_t interval_ms = 50;
 };
@@ -74,6 +82,10 @@ usage(const char *argv0)
         " 127.0.0.1)\n"
         "  --port <n>          server port\n"
         "  --port-file <path>  read the port from a file\n"
+        "  --primary-port <n>, --primary-port-file <path>\n"
+        "                      wait-caught-up: the primary whose"
+        " current log end\n"
+        "                      the follower must reach\n"
         "  --timeout-ms <n>    wait-caught-up deadline"
         " (default 30000)\n"
         "  --interval-ms <n>   wait-caught-up poll period"
@@ -102,6 +114,10 @@ parseFlags(int argc, char **argv, Flags &f)
             f.port = std::atoi(next("--port"));
         } else if (arg == "--port-file") {
             f.port_file = next("--port-file");
+        } else if (arg == "--primary-port") {
+            f.primary_port = std::atoi(next("--primary-port"));
+        } else if (arg == "--primary-port-file") {
+            f.primary_port_file = next("--primary-port-file");
         } else if (arg == "--timeout-ms") {
             f.timeout_ms = std::strtoull(next("--timeout-ms"),
                                          nullptr, 10);
@@ -122,15 +138,15 @@ parseFlags(int argc, char **argv, Flags &f)
 }
 
 int
-resolvePort(const Flags &f)
+resolvePort(int port, const std::string &port_file)
 {
-    if (f.port_file.empty()) {
-        if (f.port <= 0)
-            fatal("need --port or --port-file");
-        return f.port;
+    if (port_file.empty()) {
+        if (port <= 0)
+            fatal("need a port or a port file");
+        return port;
     }
     for (int attempt = 0; attempt < 1000; ++attempt) {
-        std::FILE *fp = std::fopen(f.port_file.c_str(), "r");
+        std::FILE *fp = std::fopen(port_file.c_str(), "r");
         if (fp) {
             int port = 0;
             int got = std::fscanf(fp, "%d", &port);
@@ -141,7 +157,7 @@ resolvePort(const Flags &f)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(10));
     }
-    fatal("port file %s never appeared", f.port_file.c_str());
+    fatal("port file %s never appeared", port_file.c_str());
 }
 
 /** Fetch + parse STATS; fatal on wire errors, not on lag. */
@@ -155,17 +171,22 @@ fetchStats(server::Client &client)
     return root;
 }
 
-/** Gauge lookup under metrics.gauges; 0 when absent. */
-uint64_t
-gaugeU64(const obs::JsonValue &root, const std::string &name)
+/** Gauge lookup under metrics.gauges; nullptr when absent. */
+const obs::JsonValue *
+findGauge(const obs::JsonValue &root, const std::string &name)
 {
     const obs::JsonValue *metrics = root.find("metrics");
     if (metrics == nullptr)
-        return 0;
+        return nullptr;
     const obs::JsonValue *gauges = metrics->find("gauges");
-    if (gauges == nullptr)
-        return 0;
-    const obs::JsonValue *v = gauges->find(name);
+    return gauges == nullptr ? nullptr : gauges->find(name);
+}
+
+/** Gauge value; 0 when absent. */
+uint64_t
+gaugeU64(const obs::JsonValue &root, const std::string &name)
+{
+    const obs::JsonValue *v = findGauge(root, name);
     return v == nullptr ? 0 : v->asU64();
 }
 
@@ -184,9 +205,27 @@ cmdPromote(server::Client &client)
     return 0;
 }
 
+/** The primary's replication-log end offset, read once. */
+uint64_t
+primaryLogEnd(const Flags &flags)
+{
+    auto primary = server::Client::open(
+        flags.host,
+        static_cast<uint16_t>(resolvePort(flags.primary_port,
+                                          flags.primary_port_file)));
+    primary.status().expectOk("connect to the primary");
+    obs::JsonValue root = fetchStats(*primary.value());
+    const obs::JsonValue *end = findGauge(root, "repl.log_end_offset");
+    if (end == nullptr)
+        fatal("the primary's STATS has no repl.log_end_offset; is "
+              "it serving with --repl?");
+    return end->asU64();
+}
+
 int
 cmdWaitCaughtUp(server::Client &client, const Flags &flags)
 {
+    const uint64_t target = primaryLogEnd(flags);
     auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(flags.timeout_ms);
@@ -194,16 +233,19 @@ cmdWaitCaughtUp(server::Client &client, const Flags &flags)
         obs::JsonValue root = fetchStats(client);
         uint64_t connected =
             gaugeU64(root, "repl.follower_connected");
-        uint64_t lag = gaugeU64(root, "repl.lag_bytes");
-        if (connected == 1 && lag == 0) {
+        uint64_t pending = gaugeU64(root, "repl.snapshot_pending");
+        uint64_t end = gaugeU64(root, "repl.log_end_offset");
+        if (connected == 1 && pending == 0 && end >= target) {
             std::printf("caught up\n");
             return 0;
         }
         if (std::chrono::steady_clock::now() >= deadline) {
             std::fprintf(stderr,
                          "timed out: connected=%" PRIu64
-                         " lag_bytes=%" PRIu64 "\n",
-                         connected, lag);
+                         " snapshot_pending=%" PRIu64
+                         " log_end=%" PRIu64 " target=%" PRIu64
+                         "\n",
+                         connected, pending, end, target);
             return 3;
         }
         std::this_thread::sleep_for(
@@ -256,7 +298,7 @@ main(int argc, char **argv)
     if (!parseFlags(argc, argv, flags))
         return 2;
 
-    int port = resolvePort(flags);
+    int port = resolvePort(flags.port, flags.port_file);
     auto client = server::Client::open(
         flags.host, static_cast<uint16_t>(port));
     client.status().expectOk("connect");
