@@ -79,124 +79,4 @@ CorrelationMiner::followers(uint64_t key_id,
     return out;
 }
 
-CachePolicySimulator::CachePolicySimulator(
-    uint64_t capacity_bytes, const CorrelationMiner *miner,
-    const std::unordered_map<uint64_t, uint32_t> &sizes,
-    const std::string &metrics_scope)
-    : capacity_(capacity_bytes), miner_(miner), sizes_(sizes)
-{
-    if (!metrics_scope.empty()) {
-        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        std::string prefix = "corrcache." + metrics_scope;
-        m_hits_ = &reg.counter(prefix + ".hits");
-        m_misses_ = &reg.counter(prefix + ".misses");
-        m_prefetch_hits_ = &reg.counter(prefix + ".prefetch_hits");
-        m_evictions_ = &reg.counter(prefix + ".evictions");
-    }
-}
-
-uint32_t
-CachePolicySimulator::sizeOf(uint64_t key_id) const
-{
-    auto it = sizes_.find(key_id);
-    return it == sizes_.end() ? 64 : std::max<uint32_t>(
-                                         it->second, 1);
-}
-
-void
-CachePolicySimulator::admit(uint64_t key_id, bool prefetched)
-{
-    if (index_.count(key_id))
-        return;
-    uint32_t bytes = sizeOf(key_id);
-    if (bytes > capacity_)
-        return;
-    order_.push_front({key_id, bytes, prefetched});
-    index_[key_id] = order_.begin();
-    used_bytes_ += bytes;
-    while (used_bytes_ > capacity_ && !order_.empty()) {
-        Entry &victim = order_.back();
-        used_bytes_ -= victim.bytes;
-        index_.erase(victim.key_id);
-        order_.pop_back();
-        ++stats_.evictions;
-        if (m_evictions_)
-            m_evictions_->inc();
-    }
-}
-
-void
-CachePolicySimulator::access(uint64_t key_id)
-{
-    ++stats_.accesses;
-    auto it = index_.find(key_id);
-    if (it != index_.end()) {
-        ++stats_.hits;
-        if (m_hits_)
-            m_hits_->inc();
-        if (it->second->prefetched) {
-            ++stats_.prefetch_hits;
-            if (m_prefetch_hits_)
-                m_prefetch_hits_->inc();
-            it->second->prefetched = false;
-        }
-        order_.splice(order_.begin(), order_, it->second);
-        return;
-    }
-
-    ++stats_.demand_fetches;
-    if (m_misses_)
-        m_misses_->inc();
-    admit(key_id, false);
-
-    if (miner_) {
-        for (uint64_t follower : miner_->followers(key_id)) {
-            if (index_.count(follower))
-                continue;
-            ++stats_.prefetch_fetches;
-            admit(follower, true);
-        }
-    }
-}
-
-CacheComparison
-compareCachePolicies(const trace::TraceBuffer &trace,
-                     uint64_t capacity_bytes,
-                     double train_fraction, size_t window)
-{
-    // Collect the read stream and per-key sizes.
-    std::vector<uint64_t> reads;
-    std::unordered_map<uint64_t, uint32_t> sizes;
-    for (const trace::TraceRecord &record : trace.records()) {
-        if (record.op != trace::OpType::Read)
-            continue;
-        reads.push_back(record.key_id);
-        if (record.value_size > 0) {
-            sizes[record.key_id] =
-                record.key_size + record.value_size;
-        }
-    }
-
-    CacheComparison out;
-    out.train_reads = static_cast<size_t>(
-        train_fraction * static_cast<double>(reads.size()));
-    out.eval_reads = reads.size() - out.train_reads;
-
-    CorrelationMiner miner(window);
-    for (size_t i = 0; i < out.train_reads; ++i)
-        miner.observe(reads[i]);
-
-    CachePolicySimulator lru(capacity_bytes, nullptr, sizes,
-                             "lru");
-    CachePolicySimulator correlated(capacity_bytes, &miner, sizes,
-                                    "correlated");
-    for (size_t i = out.train_reads; i < reads.size(); ++i) {
-        lru.access(reads[i]);
-        correlated.access(reads[i]);
-    }
-    out.lru = lru.stats();
-    out.correlated = correlated.stats();
-    return out;
-}
-
 } // namespace ethkv::core

@@ -1,28 +1,24 @@
 /**
  * @file
- * Correlation-aware caching — the paper's Section-V proposal (ii).
+ * Correlation mining for the paper's Section-V proposal (ii).
  *
  * Findings 8-9 show correlated reads cluster within small distances
  * and repeat; an LRU that treats keys independently leaves those
  * hits on the table (Finding 6). This module mines follower
  * relations from an access stream ("when k is read, k' tends to be
- * read within the next W reads") and evaluates a prefetching cache
- * against plain LRU on the same stream, reporting hit rates and
- * fetch volumes — the ablation the paper's design discussion calls
- * for.
+ * read within the next W reads"). The server cache tier's
+ * CorrelationPrefetcher (src/cachetier) uses it to warm followers,
+ * and bench_ablation_corr_cache measures that tier with and
+ * without it.
  */
 
 #ifndef ETHKV_CORE_CORR_CACHE_HH
 #define ETHKV_CORE_CORR_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/metrics.hh"
-#include "trace/record.hh"
 
 namespace ethkv::core
 {
@@ -69,108 +65,6 @@ class CorrelationMiner
     size_t recent_pos_ = 0;
     std::unordered_map<uint64_t, std::vector<Candidate>> table_;
 };
-
-/** Outcome counters for one cache-policy evaluation. */
-struct CachePolicyStats
-{
-    uint64_t accesses = 0;
-    uint64_t hits = 0;
-    uint64_t demand_fetches = 0;   //!< Misses served from storage.
-    uint64_t prefetch_fetches = 0; //!< Speculative fetches issued.
-    uint64_t prefetch_hits = 0;    //!< Hits on prefetched entries.
-    uint64_t evictions = 0;
-
-    double
-    hitRate() const
-    {
-        return accesses ? static_cast<double>(hits) /
-                              static_cast<double>(accesses)
-                        : 0.0;
-    }
-
-    /** All storage fetches (demand + speculative). */
-    uint64_t
-    totalFetches() const
-    {
-        return demand_fetches + prefetch_fetches;
-    }
-};
-
-/**
- * Byte-budgeted LRU cache simulator with optional
- * correlation-driven prefetch.
- *
- * Operates on trace records: entry size = key + value bytes. When
- * prefetching, a miss on k also admits followers(k), charging
- * their fetches (they are co-located in the hybrid layout, so the
- * marginal cost is one sequential batch — still counted
- * individually here to keep the comparison conservative).
- */
-class CachePolicySimulator
-{
-  public:
-    /**
-     * @param capacity_bytes Cache budget.
-     * @param miner Follower source; nullptr disables prefetch
-     *        (plain LRU baseline).
-     * @param sizes Per-key-id entry sizes (key + value bytes).
-     * @param metrics_scope When non-empty, mirror outcomes into
-     *        global `corrcache.<scope>.*` counters so policy runs
-     *        show up in metrics exports alongside everything else.
-     */
-    CachePolicySimulator(
-        uint64_t capacity_bytes, const CorrelationMiner *miner,
-        const std::unordered_map<uint64_t, uint32_t> &sizes,
-        const std::string &metrics_scope = "");
-
-    /** Feed one read access. */
-    void access(uint64_t key_id);
-
-    const CachePolicyStats &stats() const { return stats_; }
-
-  private:
-    void admit(uint64_t key_id, bool prefetched);
-    uint32_t sizeOf(uint64_t key_id) const;
-
-    uint64_t capacity_;
-    const CorrelationMiner *miner_;
-    const std::unordered_map<uint64_t, uint32_t> &sizes_;
-
-    struct Entry
-    {
-        uint64_t key_id;
-        uint32_t bytes;
-        bool prefetched;
-    };
-
-    std::list<Entry> order_; //!< Front = most recent.
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-    uint64_t used_bytes_ = 0;
-    CachePolicyStats stats_;
-
-    // Registry mirrors; null when no metrics_scope was given.
-    obs::Counter *m_hits_ = nullptr;
-    obs::Counter *m_misses_ = nullptr;
-    obs::Counter *m_prefetch_hits_ = nullptr;
-    obs::Counter *m_evictions_ = nullptr;
-};
-
-/**
- * Convenience: evaluate LRU vs correlation-aware prefetching on a
- * read trace. The first `train_fraction` of reads trains the
- * miner; both policies are then evaluated on the remainder.
- */
-struct CacheComparison
-{
-    CachePolicyStats lru;
-    CachePolicyStats correlated;
-    size_t train_reads = 0;
-    size_t eval_reads = 0;
-};
-
-CacheComparison compareCachePolicies(
-    const trace::TraceBuffer &trace, uint64_t capacity_bytes,
-    double train_fraction = 0.5, size_t window = 8);
 
 } // namespace ethkv::core
 

@@ -8,11 +8,11 @@
  *   ethkvd --engine log --dir /tmp/d --sync --port 0 \
  *          --port-file /tmp/d/port
  *
- * Engines without internal locking (mem, hash, btree, log) are
- * wrapped in kv::LockedKVStore; lsm, hybrid, and cached lock
- * internally (the LSM engine additionally runs its own background
- * maintenance thread, so serving it bare keeps connections from
- * serializing behind flushes and compactions).
+ * The engines are lsm, log, btree and hybrid. btree and log have
+ * no internal locking and are wrapped in kv::LockedKVStore; lsm and
+ * hybrid lock internally (the LSM engine additionally runs its own
+ * background maintenance thread, so serving it bare keeps
+ * connections from serializing behind flushes and compactions).
  * --port 0 binds an ephemeral port; --port-file writes the bound
  * port for test harnesses to discover. --env fault serves the
  * durable engines through a FaultInjectionEnv so fault drills can
@@ -43,13 +43,10 @@
 #include "common/logging.hh"
 #include "common/status.hh"
 #include "core/hybrid_store.hh"
-#include "client/class_cache.hh"
 #include "kvstore/btree_store.hh"
-#include "kvstore/hash_store.hh"
 #include "kvstore/locked_store.hh"
 #include "kvstore/log_store.hh"
 #include "kvstore/lsm_store.hh"
-#include "kvstore/mem_store.hh"
 #include "kvstore/instrumented_store.hh"
 #include "kvstore/sharded_store.hh"
 #include "obs/metrics.hh"
@@ -92,8 +89,7 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [options]\n"
-        "  --engine <mem|hash|btree|log|lsm|hybrid|cached>"
-        "  (default hybrid)\n"
+        "  --engine <lsm|log|btree|hybrid>  (default hybrid)\n"
         "  --host <ipv4>            bind address"
         " (default 127.0.0.1)\n"
         "  --port <n>               0 = ephemeral (default 7070)\n"
@@ -163,7 +159,7 @@ struct EngineStack
 {
     std::unique_ptr<FaultInjectionEnv> fault_env;
     std::unique_ptr<kv::KVStore> base;      //!< The engine itself.
-    std::unique_ptr<kv::KVStore> wrapper;   //!< Lock or cache shim.
+    std::unique_ptr<kv::KVStore> wrapper;   //!< Big-lock shim.
     kv::KVStore *serve = nullptr;           //!< What ethkvd serves.
 };
 
@@ -364,11 +360,7 @@ buildEngine(const Flags &f, obs::TraceEventLog *trace_log,
                         std::unique_ptr<kv::KVStore> &out,
                         bool &internally_locked) -> Status {
         internally_locked = false;
-        if (f.engine == "mem") {
-            out = std::make_unique<kv::MemStore>();
-        } else if (f.engine == "hash") {
-            out = std::make_unique<kv::HashStore>();
-        } else if (f.engine == "btree") {
+        if (f.engine == "btree") {
             out = std::make_unique<kv::BTreeStore>();
         } else if (f.engine == "log") {
             kv::LogStoreOptions log_options;
@@ -400,8 +392,7 @@ buildEngine(const Flags &f, obs::TraceEventLog *trace_log,
             // maintenance; serving it bare keeps worker threads
             // from serializing behind flushes and compactions.
             internally_locked = true;
-        } else if (f.engine == "hybrid" ||
-                   f.engine == "cached") {
+        } else if (f.engine == "hybrid") {
             // The hybrid router locks internally (per-route
             // shards); its engines are in-memory (log dir is
             // ignored there).
@@ -454,10 +445,7 @@ buildEngine(const Flags &f, obs::TraceEventLog *trace_log,
         internally_locked = true;
     }
 
-    if (f.engine == "cached") {
-        stack.wrapper = std::make_unique<client::CachingKVStore>(
-            *stack.base, client::CacheConfig{});
-    } else if (!internally_locked) {
+    if (!internally_locked) {
         stack.wrapper =
             std::make_unique<kv::LockedKVStore>(*stack.base);
     }
@@ -550,8 +538,7 @@ main(int argc, char **argv)
             ropts.segment_bytes = flags.repl_segment_bytes;
         // Snapshots need a scan that covers the whole key space.
         ropts.snapshot_catch_up = flags.engine == "lsm" ||
-                                  flags.engine == "btree" ||
-                                  flags.engine == "mem";
+                                  flags.engine == "btree";
         ropts.primary_host = flags.follower_host;
         ropts.primary_port = flags.follower_port;
         ropts.seed = flags.fault_seed;

@@ -23,6 +23,7 @@
 #include "common/bytes.hh"
 #include "common/env.hh"
 #include "common/fault_env.hh"
+#include "common/rand.hh"
 #include "kvstore/log_store.hh"
 #include "kvstore/mem_store.hh"
 #include "kvstore/write_batch.hh"
@@ -459,6 +460,82 @@ TEST(PrefetcherTest, OnlineMinerLearnsFollowerPairs)
     pf.drainForTest();
     EXPECT_TRUE(tier.cachedForTest(makeKey(2)));
     pf.stop();
+}
+
+/** Counters of one replayPairs() run. */
+struct PairRun
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t prefetch_issued = 0;
+    uint64_t prefetch_hits = 0;
+};
+
+/**
+ * Replay correlated pairs — key k, then key k + 1000, with k drawn
+ * from 100 keys — through a fresh tier that holds about a quarter
+ * of the 200 keys, with or without an online-mining prefetcher
+ * drained after every GET (as bench_ablation_corr_cache drives it).
+ */
+PairRun
+replayPairs(bool prefetch)
+{
+    obs::MetricsRegistry reg;
+    kv::MemStore inner;
+    for (uint64_t k = 0; k < 100; ++k) {
+        EXPECT_TRUE(inner.put(makeKey(k), makeValue(k)).isOk());
+        EXPECT_TRUE(
+            inner.put(makeKey(k + 1000), makeValue(k)).isOk());
+    }
+    CacheTierOptions o = smallOptions(reg);
+    o.capacity_bytes = 5000;
+    CacheTier tier(inner, o);
+    PrefetcherOptions po;
+    po.metrics = &reg;
+    CorrelationPrefetcher pf(tier, po);
+    if (prefetch) {
+        tier.setPrefetcher(&pf);
+        pf.start();
+    }
+
+    Rng rng(5);
+    Bytes v;
+    for (int round = 0; round < 1000; ++round) {
+        uint64_t k = rng.nextBounded(100);
+        EXPECT_TRUE(tier.get(makeKey(k), v).isOk());
+        if (prefetch)
+            pf.drainForTest();
+        EXPECT_TRUE(tier.get(makeKey(k + 1000), v).isOk());
+        if (prefetch)
+            pf.drainForTest();
+    }
+    return {ctr(reg, "cachetier.hits"), ctr(reg, "cachetier.misses"),
+            ctr(reg, "cachetier.prefetch.issued"),
+            ctr(reg, "cachetier.prefetch.hits")};
+}
+
+TEST(PrefetcherTest, OnlinePrefetchBeatsTierAloneOnCorrelatedPairs)
+{
+    PairRun alone = replayPairs(false);
+    PairRun with = replayPairs(true);
+    EXPECT_EQ(alone.hits + alone.misses, 2000u);
+    EXPECT_EQ(with.hits + with.misses, 2000u);
+    EXPECT_EQ(alone.prefetch_issued, 0u);
+    EXPECT_GT(with.prefetch_hits, 0u);
+    EXPECT_GT(with.hits, alone.hits);
+}
+
+TEST(PrefetcherTest, DrainedReplayIsDeterministic)
+{
+    // The ablation's tables are only comparable run to run if the
+    // same stream always produces the same counters.
+    PairRun first = replayPairs(true);
+    PairRun second = replayPairs(true);
+    EXPECT_EQ(first.hits, second.hits);
+    EXPECT_EQ(first.misses, second.misses);
+    EXPECT_EQ(first.prefetch_issued, second.prefetch_issued);
+    EXPECT_EQ(first.prefetch_hits, second.prefetch_hits);
+    EXPECT_GT(first.prefetch_issued, 0u);
 }
 
 // --- degraded pass-through --------------------------------------

@@ -1,8 +1,7 @@
 /**
  * @file
  * Core-module tests: lazy-index store semantics (promotion, GC,
- * shadowing), hybrid routing, the correlation miner, and the
- * cache-policy simulator.
+ * shadowing), hybrid routing, and the correlation miner.
  */
 
 #include <gtest/gtest.h>
@@ -258,83 +257,6 @@ TEST(CorrelationMinerTest, BoundedCandidates)
         miner.observe(i % 100); // many distinct followers
     }
     EXPECT_LE(miner.followers(5, 1).size(), 2u);
-}
-
-TEST(CachePolicyTest, LruBasics)
-{
-    std::unordered_map<uint64_t, uint32_t> sizes;
-    for (uint64_t i = 0; i < 10; ++i)
-        sizes[i] = 100;
-    CachePolicySimulator cache(350, nullptr, sizes);
-
-    cache.access(1);
-    cache.access(2);
-    cache.access(3); // fits exactly 3 entries
-    cache.access(1); // hit
-    cache.access(4); // evicts LRU (2)
-    cache.access(2); // miss again
-
-    const CachePolicyStats &stats = cache.stats();
-    EXPECT_EQ(stats.accesses, 6u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.demand_fetches, 5u);
-    EXPECT_GT(stats.evictions, 0u);
-}
-
-TEST(CachePolicyTest, PrefetchingBeatsLruOnCorrelatedStream)
-{
-    // Stream: pairs (k, k+1000) always accessed together, with
-    // enough distinct pairs to overflow the cache between
-    // repetitions (pure LRU keeps missing; prefetch pairs win).
-    std::vector<uint64_t> stream;
-    Rng rng(5);
-    for (int round = 0; round < 400; ++round) {
-        uint64_t k = rng.nextBounded(300);
-        stream.push_back(k);
-        stream.push_back(k + 1000);
-    }
-    std::unordered_map<uint64_t, uint32_t> sizes;
-    for (uint64_t k = 0; k < 300; ++k) {
-        sizes[k] = 100;
-        sizes[k + 1000] = 100;
-    }
-
-    CorrelationMiner miner(4);
-    size_t half = stream.size() / 2;
-    for (size_t i = 0; i < half; ++i)
-        miner.observe(stream[i]);
-
-    CachePolicySimulator lru(8000, nullptr, sizes);
-    CachePolicySimulator corr(8000, &miner, sizes);
-    for (size_t i = half; i < stream.size(); ++i) {
-        lru.access(stream[i]);
-        corr.access(stream[i]);
-    }
-    EXPECT_GT(corr.stats().hitRate(), lru.stats().hitRate());
-    EXPECT_GT(corr.stats().prefetch_hits, 0u);
-}
-
-TEST(CachePolicyTest, CompareHelperSplitsTrace)
-{
-    trace::TraceBuffer trace;
-    Rng rng(9);
-    for (int i = 0; i < 2000; ++i) {
-        trace::TraceRecord r{};
-        r.op = trace::OpType::Read;
-        r.key_id = rng.nextBounded(50);
-        r.key_size = 33;
-        r.value_size = 50;
-        trace.append(r);
-        // Writes must be ignored by the comparison.
-        r.op = trace::OpType::Write;
-        trace.append(r);
-    }
-    CacheComparison cmp =
-        compareCachePolicies(trace, 4096, 0.5, 4);
-    EXPECT_EQ(cmp.train_reads, 1000u);
-    EXPECT_EQ(cmp.eval_reads, 1000u);
-    EXPECT_EQ(cmp.lru.accesses, 1000u);
-    EXPECT_EQ(cmp.correlated.accesses, 1000u);
 }
 
 } // namespace

@@ -7,14 +7,12 @@
  * ethkvd uses:
  *
  *  - HybridKVStore bare (per-route shard locks),
- *  - CachingKVStore over HybridKVStore (--engine cached),
  *  - LockedKVStore over BTreeStore (every single-threaded engine).
  *
- * Readers run stats()/liveKeyCount()/cacheStats() concurrently
- * with writers, since those are what the server's STATS op calls
- * from any worker. A data race in the hybrid shard locking, the
- * cache mutex, or the big-lock decorator fails `ctest` on every
- * build.
+ * Readers run stats()/liveKeyCount() concurrently with writers,
+ * since those are what the server's STATS op calls from any
+ * worker. A data race in the hybrid shard locking or the big-lock
+ * decorator fails `ctest` on every build.
  */
 
 #include <atomic>
@@ -23,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "client/class_cache.hh"
 #include "core/hybrid_store.hh"
 #include "kvstore/btree_store.hh"
 #include "kvstore/locked_store.hh"
@@ -158,22 +155,6 @@ main()
     {
         core::HybridKVStore hybrid;
         stressStore(hybrid, "hybrid");
-    }
-    {
-        // --engine cached: the cache's own mutex over the hybrid's
-        // shard locks; scan passes through to the (locked) hybrid.
-        core::HybridKVStore hybrid;
-        client::CachingKVStore cached(hybrid,
-                                      client::CacheConfig{});
-        std::thread cache_reader([&cached] {
-            for (int i = 0; i < 400; ++i) {
-                cached.cacheStats();
-                cached.writeBackBytes();
-                cached.cachedBytes();
-            }
-        });
-        stressStore(cached, "cached(hybrid)");
-        cache_reader.join();
     }
     {
         kv::BTreeStore btree;
