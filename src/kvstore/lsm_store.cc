@@ -124,12 +124,6 @@ LSMStore::LSMStore(LSMOptions options)
       memtable_(std::make_unique<MemTable>()),
       version_(std::make_shared<Version>())
 {
-    l0_slowdown_files_ = options_.l0_slowdown_files > 0
-                             ? options_.l0_slowdown_files
-                             : 2 * options_.l0_compaction_trigger;
-    l0_stop_files_ = options_.l0_stop_files > 0
-                         ? options_.l0_stop_files
-                         : 3 * options_.l0_compaction_trigger;
     if (options_.max_immutable_memtables < 1)
         options_.max_immutable_memtables = 1;
 }
@@ -1208,7 +1202,7 @@ LSMStore::levelLimit(int level) const
 {
     double limit = static_cast<double>(options_.level_base_bytes);
     for (int i = 1; i < level; ++i)
-        limit *= options_.level_multiplier;
+        limit *= kLevelMultiplier;
     return static_cast<uint64_t>(limit);
 }
 

@@ -17,10 +17,11 @@
  * long enough to snapshot the active memtable plus a shared_ptr to
  * the current immutable-memtable set and table Version, then search
  * lock-free. Writers that outrun maintenance hit RocksDB-style
- * backpressure: a 1 ms slowdown once L0 reaches l0_slowdown_files,
- * and a hard stall (condition-variable wait, surfaced via the
- * kv.stall_micros counter) at max_immutable_memtables sealed
- * memtables or l0_stop_files L0 files.
+ * backpressure: a 1 ms slowdown once L0 holds 2x the compaction
+ * trigger in files, and a hard stall (condition-variable wait,
+ * surfaced via the kv.stall_micros counter) at
+ * max_immutable_memtables sealed memtables or 3x the trigger in L0
+ * files.
  */
 
 #ifndef ETHKV_KVSTORE_LSM_STORE_HH
@@ -57,7 +58,6 @@ struct LSMOptions
     uint64_t memtable_bytes = 1 << 20;  //!< Seal threshold.
     int l0_compaction_trigger = 4;      //!< L0 file-count trigger.
     uint64_t level_base_bytes = 8u << 20; //!< L1 size budget.
-    double level_multiplier = 10.0;     //!< Per-level budget growth.
     uint64_t target_file_bytes = 2u << 20; //!< Output split size.
     bool sync_wal = false;              //!< fdatasync per batch.
     Env *env = nullptr;                 //!< nullptr = defaultEnv().
@@ -65,12 +65,6 @@ struct LSMOptions
     //! Sealed-but-unflushed memtables a writer may queue before it
     //! hard-stalls waiting for the background flush to drain.
     int max_immutable_memtables = 2;
-    //! L0 file count that slows writers by ~1 ms per batch;
-    //! 0 = 2 * l0_compaction_trigger.
-    int l0_slowdown_files = 0;
-    //! L0 file count that hard-stalls writers; 0 = 3 *
-    //! l0_compaction_trigger.
-    int l0_stop_files = 0;
     //! Span sink for background flush/compaction work (shows the
     //! maintenance thread as its own track in merged request
     //! timelines); tracing off when null. Not owned; must outlive
@@ -322,8 +316,13 @@ class LSMStore : public KVStore
 
     LSMOptions options_;
     Env *env_ = nullptr;
-    int l0_slowdown_files_ = 0; //!< Resolved from options.
-    int l0_stop_files_ = 0;     //!< Resolved from options.
+    //! Per-level budget growth: level n+1 may hold this many times
+    //! level n.
+    static constexpr double kLevelMultiplier = 10.0;
+    //! L0 file count that slows writers by ~1 ms per batch.
+    const int l0_slowdown_files_ = 2 * options_.l0_compaction_trigger;
+    //! L0 file count that hard-stalls writers.
+    const int l0_stop_files_ = 3 * options_.l0_compaction_trigger;
 
     /**
      * One mutex guards all mutable state below; background I/O and

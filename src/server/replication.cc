@@ -34,6 +34,13 @@ nowMs()
             .count());
 }
 
+/** Sender read window per REPLBATCH frame (and per snapshot
+ *  page). */
+constexpr uint64_t kBatchBytes = 256u << 10;
+/** Per-subscriber out-buffer cap: stop reading the log for a
+ *  follower whose socket is this far behind. */
+constexpr uint64_t kSubscriberBacklogBytes = 4u << 20;
+
 } // namespace
 
 // ----------------------------------------------------------------
@@ -562,7 +569,7 @@ class ReplicationSender
     bool
     pumpSnapshotPage(Sub &s)
     {
-        const uint64_t budget = hub_.options_.batch_bytes;
+        const uint64_t budget = kBatchBytes;
         kv::WriteBatch batch;
         uint64_t bytes = 0;
         bool more = false;
@@ -610,9 +617,7 @@ class ReplicationSender
     bool
     pumpSub(Sub &s)
     {
-        const auto &o = hub_.options_;
-        while (s.snapshot &&
-               s.backlog() < o.subscriber_backlog_bytes)
+        while (s.snapshot && s.backlog() < kSubscriberBacklogBytes)
             if (!pumpSnapshotPage(s))
                 return false;
         if (s.snapshot)
@@ -620,11 +625,11 @@ class ReplicationSender
         uint64_t end = hub_.log_->endOffset();
         uint64_t last_seq = hub_.log_->lastSeq();
         while (s.next_offset < end &&
-               s.backlog() < o.subscriber_backlog_bytes) {
+               s.backlog() < kSubscriberBacklogBytes) {
             Bytes records;
             Status st = hub_.log_->read(
                 s.next_offset,
-                static_cast<size_t>(o.batch_bytes), records);
+                static_cast<size_t>(kBatchBytes), records);
             if (st.isNotFound())
                 // Retention dropped its offset before it was
                 // pinned; it reconnects and gets a snapshot.

@@ -108,13 +108,6 @@ struct ReplicationOptions
      *  within one class, and for hash/log, which cannot scan. */
     bool snapshot_catch_up = true;
 
-    /** Sender read window per REPLBATCH frame (and per snapshot
-     *  page). */
-    uint64_t batch_bytes = 256u << 10;
-    /** Per-subscriber out-buffer cap: stop reading the log for a
-     *  follower whose socket is this far behind. */
-    uint64_t subscriber_backlog_bytes = 4u << 20;
-
     Env *env = nullptr;                      //!< nullptr = Posix.
     obs::MetricsRegistry *metrics = nullptr; //!< nullptr = global.
 };

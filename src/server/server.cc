@@ -52,6 +52,12 @@ nowMs()
 
 constexpr size_t kReadChunk = 64u << 10;
 
+//! Stop reading from a connection whose pending responses exceed
+//! this (closed-loop backpressure); resume below half of it.
+constexpr size_t kWriteQueueSoftBytes = 1u << 20;
+//! Drop a connection whose pending responses exceed this.
+constexpr size_t kWriteQueueHardBytes = 8u << 20;
+
 /** Chrome-trace process id for server-side spans; tracing clients
  *  use pid 2, so a merged timeline shows two process tracks. */
 constexpr uint32_t kServerTracePid = 1;
@@ -404,11 +410,11 @@ Server::applyBackpressure(Worker &worker, Connection &conn)
         static_cast<int64_t>(queued) -
         static_cast<int64_t>(conn.reported_queue));
     conn.reported_queue = queued;
-    if (!conn.paused && queued > options_.write_queue_soft_bytes) {
+    if (!conn.paused && queued > kWriteQueueSoftBytes) {
         conn.paused = true;
         backpressure_paused_->inc();
     } else if (conn.paused &&
-               queued < options_.write_queue_soft_bytes / 2) {
+               queued < kWriteQueueSoftBytes / 2) {
         conn.paused = false;
     }
     uint32_t events = (conn.paused ? 0u : net::kEventRead) |
@@ -1162,8 +1168,7 @@ Server::workerLoop(Worker &worker)
                     }
                     size_t queued =
                         conn.out.size() - conn.out_pos;
-                    if (queued >
-                        options_.write_queue_hard_bytes) {
+                    if (queued > kWriteQueueHardBytes) {
                         backpressure_dropped_->inc();
                         closeConnection(worker, conn);
                         peer_gone = false;

@@ -15,9 +15,9 @@
  *    (server/protocol.hh), executes ops against the shared store,
  *    and queues response frames on the connection's write buffer.
  *
- * The store must be safe for concurrent callers: HybridKVStore and
- * CachingKVStore lock internally; anything else is wrapped in
- * kv::LockedKVStore by the caller (ethkvd does this).
+ * The store must be safe for concurrent callers: LSMStore and
+ * HybridKVStore lock internally; anything else is wrapped in
+ * kv::LockedKVStore by the caller (server/stack.hh does this).
  *
  * Backpressure: each connection has a bounded write queue. Above
  * the soft limit the worker stops reading from that connection
@@ -68,11 +68,6 @@ struct ServerOptions
     int workers = 4;
     //! Largest request/response payload accepted on the wire.
     size_t max_frame_bytes = kDefaultMaxFrameBytes;
-    //! Stop reading from a connection whose pending responses
-    //! exceed this (closed-loop backpressure).
-    size_t write_queue_soft_bytes = 1u << 20;
-    //! Drop a connection whose pending responses exceed this.
-    size_t write_queue_hard_bytes = 8u << 20;
     //! Server-side cap on SCAN results per request.
     uint64_t scan_limit_max = 4096;
     //! Byte cap on one SCAN response payload. The entry-count cap

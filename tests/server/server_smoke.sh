@@ -56,6 +56,15 @@
 #       from a snapshot to the primary's exact key/value set — once
 #       cleanly and once after a kill -9 mid-snapshot; then it is
 #       promoted and a second follower catches up from it.
+#
+#   server_smoke.sh badsetup <ethkvd> <bench_server_load> <scratch>
+#       Every set-up ethkvd cannot serve (unknown engine or env, a
+#       shard count out of range or not the one the data dir was
+#       made with, lsm or replication without --dir, --sync, --dir,
+#       --repl or --follower-of on a volatile engine, a missing or
+#       malformed --corr-table, a replication log that cannot open)
+#       prints its reason and the usage and exits 2, as an unknown
+#       flag does: no abort, no core file.
 set -u
 
 MODE=$1
@@ -509,6 +518,47 @@ case "$MODE" in
     RC=$?
     SERVER_PID=""
     [ "$RC" -eq 0 ] || fail "promoted node exit code $RC"
+    ;;
+
+  badsetup)
+    cd "$SCRATCH" || fail "cd $SCRATCH"
+    ulimit -c unlimited # an abort would leave ./core
+    printf 'zz 0a0b\n' > bad_corr.txt
+    mkdir -p sharded replfile && printf '2\n' > sharded/SHARDS
+    : > replfile/repl
+    refused() { # <expected message> <flags...>
+        WANT=$1
+        shift
+        "$ETHKVD" "$@" --port 0 > out.txt 2>&1
+        RC=$?
+        [ "$RC" -eq 2 ] || fail "ethkvd $* exited $RC, not 2"
+        grep -qF -- "$WANT" out.txt \
+            || fail "ethkvd $*: no '$WANT' in: $(head -2 out.txt)"
+        grep -q '^usage:' out.txt || fail "ethkvd $*: no usage"
+        ! ls core* > /dev/null 2>&1 || fail "ethkvd $*: core file"
+    }
+    refused "unknown --engine cached" --engine cached
+    refused "unknown --env bogus" --env bogus
+    refused "--shards must be in [1, 256]" --shards 0
+    refused "--shards must be in [1, 256]" --shards 257
+    refused "shard count mismatch" --engine log --dir sharded \
+        --shards 4
+    refused "--engine lsm needs --dir" --engine lsm
+    refused "replication needs --dir" --engine log --repl
+    refused "replication needs --dir" --engine log \
+        --follower-of 127.0.0.1:1
+    DURABLE="needs a durable engine (lsm|log)"
+    refused "--sync $DURABLE" --engine hybrid --sync
+    refused "--dir $DURABLE" --engine btree --dir volatile
+    refused "--repl $DURABLE" --engine hybrid --repl
+    refused "--follower-of $DURABLE" --engine btree \
+        --follower-of 127.0.0.1:1
+    refused "/nonexistent" --cache-tier-bytes 1048576 \
+        --corr-table /nonexistent
+    refused "bad hex token" --cache-tier-bytes 1048576 \
+        --corr-table bad_corr.txt
+    refused "replfile/repl" --engine log --dir replfile --repl
+    [ ! -e volatile ] || fail "a refused --dir was created"
     ;;
 
   *)

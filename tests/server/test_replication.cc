@@ -1,14 +1,15 @@
 /**
  * @file
  * In-process primary/backup replication tests (DESIGN.md §13):
- * two real Servers over loopback, one ReplicationHub each, driven
- * through the client library. Covers live streaming, catch-up from
- * sealed segments, reconnect + resume after a dropped subscriber,
- * semi-sync acks (with and without a live follower), sticky
- * degraded mode on fault-injected replay errors, PROMOTE, the
- * NotPrimary role check, SUBSCRIBE handshake validation, the
- * shutdown ordering that flushes send queues before exit, and
- * snapshot catch-up for a follower below the primary's log start.
+ * two nodes over loopback, each built by server/stack as ethkvd
+ * builds it, driven through the client library. Covers live
+ * streaming, catch-up from sealed segments, reconnect + resume after
+ * a dropped subscriber, semi-sync acks (with and without a live
+ * follower), sticky degraded mode on fault-injected replay errors,
+ * PROMOTE, the NotPrimary role check, SUBSCRIBE handshake
+ * validation, the shutdown ordering that flushes send queues before
+ * exit, and snapshot catch-up for a follower below the primary's log
+ * start.
  */
 
 #include <gtest/gtest.h>
@@ -19,16 +20,13 @@
 #include <thread>
 
 #include "common/fault_env.hh"
-#include "kvstore/btree_store.hh"
-#include "kvstore/locked_store.hh"
-#include "kvstore/log_store.hh"
-#include "kvstore/lsm_store.hh"
 #include "obs/metrics.hh"
 #include "server/client.hh"
 #include "server/net_socket.hh"
 #include "server/protocol.hh"
 #include "server/replication.hh"
 #include "server/server.hh"
+#include "server/stack.hh"
 #include "../kvstore/test_util.hh"
 
 namespace ethkv::server
@@ -55,99 +53,46 @@ waitFor(const std::function<bool()> &pred, int timeout_ms = 5000)
     return pred();
 }
 
-/** Tuning for one node of a two-node cluster. */
-struct NodeConfig
+/** A primary's options: the log engine, fast reconnect backoff. */
+StackOptions
+nodeOptions(const std::string &dir)
 {
-    std::string dir;
-    std::string primary_host; //!< Non-empty = follower.
-    uint16_t primary_port = 0;
-    bool sync_acks = false;
-    int ack_timeout_ms = 5000;
-    uint64_t segment_bytes = 4u << 20;
-    Env *env = nullptr; //!< Engine AND repl log env.
-    int conn_idle_timeout_ms = 0;
-    bool lsm = false; //!< Ordered LSM engine (snapshots) vs log.
-};
-
-NodeConfig
-makeConfig(const std::string &dir)
-{
-    NodeConfig config;
-    config.dir = dir;
-    return config;
+    StackOptions options;
+    options.engine = "log";
+    options.dir = dir;
+    options.repl = true;
+    options.server.workers = 2;
+    options.replication.backoff_min_ms = 10;
+    options.replication.backoff_max_ms = 100;
+    return options;
 }
 
 /**
- * One replicated node: engine (+ optional fault env), hub, server.
- * Each node gets a private MetricsRegistry so two nodes in one
- * process don't share gauges.
+ * One node, built by the stack ethkvd serves. Each node
+ * gets a private MetricsRegistry so two nodes in one process don't
+ * share gauges.
  */
 class ReplNode
 {
   public:
-    explicit ReplNode(const NodeConfig &config)
+    explicit ReplNode(StackOptions options)
     {
-        if (config.lsm) {
-            kv::LSMOptions engine_options;
-            engine_options.dir = config.dir + "/engine";
-            engine_options.env = config.env;
-            auto engine = kv::LSMStore::open(engine_options);
-            engine.status().expectOk("engine open");
-            engine_ = engine.take();
-        } else {
-            kv::LogStoreOptions engine_options;
-            engine_options.dir = config.dir + "/engine";
-            engine_options.env = config.env;
-            auto engine = kv::AppendLogStore::open(engine_options);
-            engine.status().expectOk("engine open");
-            engine_ = engine.take();
-        }
-        locked_ =
-            std::make_unique<kv::LockedKVStore>(*engine_);
-
-        ReplicationOptions ropts;
-        ropts.dir = config.dir + "/repl";
-        ropts.segment_bytes = config.segment_bytes;
-        ropts.sync_acks = config.sync_acks;
-        ropts.ack_timeout_ms = config.ack_timeout_ms;
-        ropts.primary_host = config.primary_host;
-        ropts.primary_port = config.primary_port;
-        ropts.backoff_min_ms = 10;
-        ropts.backoff_max_ms = 100;
-        ropts.seed = 42;
-        ropts.env = config.env;
-        ropts.metrics = &metrics_;
-        ropts.snapshot_catch_up = config.lsm;
-        auto hub = ReplicationHub::open(ropts);
-        hub.status().expectOk("hub open");
-        hub_ = hub.take();
-
-        ServerOptions options;
-        options.port = 0;
-        options.workers = 2;
-        options.metrics = &metrics_;
-        options.slow_op_micros = -1;
-        options.repl = hub_.get();
-        options.conn_idle_timeout_ms =
-            config.conn_idle_timeout_ms;
-        server_ = std::make_unique<Server>(
-            hub_->wrap(*locked_), options);
-        server_->start().expectOk("server start");
-        hub_->start().expectOk("hub start");
+        options.server.metrics = &metrics_;
+        options.replication.metrics = &metrics_;
+        auto stack = Stack::build(std::move(options));
+        stack.status().expectOk("node build");
+        stack_ = stack.take();
+        stack_->start().expectOk("node start");
     }
 
-    ~ReplNode() { stop(); }
+    /** Server, then the hub's flushAndStop(), then the engine. */
+    void stop() { stack_->stop(); }
 
-    void
-    stop()
-    {
-        if (server_)
-            server_->stop(); // flushAndStop()s the hub inside
-    }
-
-    uint16_t port() const { return server_->port(); }
-    ReplicationHub &hub() { return *hub_; }
-    kv::KVStore &engine() { return *locked_; }
+    uint16_t port() { return stack_->server().port(); }
+    ReplicationHub &hub() { return *stack_->hub(); }
+    //! The chain below the hub, which follower replay writes.
+    kv::KVStore &engine() { return stack_->engine(); }
+    FaultInjectionEnv &faultEnv() { return *stack_->faultEnv(); }
     obs::MetricsRegistry &metrics() { return metrics_; }
 
     uint64_t
@@ -175,11 +120,18 @@ class ReplNode
 
   private:
     obs::MetricsRegistry metrics_;
-    std::unique_ptr<kv::KVStore> engine_;
-    std::unique_ptr<kv::LockedKVStore> locked_;
-    std::unique_ptr<ReplicationHub> hub_;
-    std::unique_ptr<Server> server_;
+    std::unique_ptr<Stack> stack_;
 };
+
+/** A follower's options: nodeOptions() streaming from `primary`. */
+StackOptions
+followerOf(const std::string &dir, ReplNode &primary)
+{
+    StackOptions options = nodeOptions(dir);
+    options.replication.primary_host = "127.0.0.1";
+    options.replication.primary_port = primary.port();
+    return options;
+}
 
 /**
  * Whether `follower` has applied the primary's whole log: the rule
@@ -202,10 +154,8 @@ caughtUp(ReplNode &primary, ReplNode &follower)
 TEST(Replication, StreamsLiveWritesToFollower)
 {
     ScratchDir dir("repl_live");
-    ReplNode primary(makeConfig(dir.path() + "/p"));
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    ReplNode primary(nodeOptions(dir.path() + "/p"));
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
 
     auto client = primary.connect();
@@ -251,7 +201,7 @@ TEST(Replication, LogEndGaugeMeansApplied)
     // the primary's, with no snapshot pending, every write the
     // primary acked before that read is in the follower's engine.
     ScratchDir dir("repl_log_end");
-    ReplNode primary(makeConfig(dir.path() + "/p"));
+    ReplNode primary(nodeOptions(dir.path() + "/p"));
     auto client = primary.connect();
     ASSERT_TRUE(client);
     for (uint64_t i = 0; i < 100; ++i)
@@ -263,9 +213,7 @@ TEST(Replication, LogEndGaugeMeansApplied)
     EXPECT_EQ(target, primary.hub().endOffset());
     EXPECT_GT(target, 0u);
 
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
     auto fclient = follower.connect();
     ASSERT_TRUE(fclient);
@@ -285,8 +233,8 @@ TEST(Replication, FollowerCatchesUpFromSealedSegments)
     ScratchDir dir("repl_catchup");
     // Tiny segments: the backlog the follower fetches spans many
     // sealed segments, not just the active tail.
-    NodeConfig pc = makeConfig(dir.path() + "/p");
-    pc.segment_bytes = 1024;
+    StackOptions pc = nodeOptions(dir.path() + "/p");
+    pc.replication.segment_bytes = 1024;
     ReplNode primary(pc);
 
     auto client = primary.connect();
@@ -296,9 +244,7 @@ TEST(Replication, FollowerCatchesUpFromSealedSegments)
             client->put(makeKey(i), makeValue(i, 48)).isOk());
 
     // Follower starts AFTER the writes: pure catch-up from disk.
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
 
     EXPECT_TRUE(waitFor([&] {
@@ -325,14 +271,12 @@ scanAll(kv::KVStore &store)
 TEST(Replication, FollowerBelowLogStartCatchesUpFromSnapshot)
 {
     ScratchDir dir("repl_snapshot");
-    NodeConfig pc = makeConfig(dir.path() + "/p");
-    pc.lsm = true;
-    pc.segment_bytes = 1024; // window = 16 KiB of log
+    StackOptions pc = nodeOptions(dir.path() + "/p");
+    pc.engine = "lsm";
+    pc.replication.segment_bytes = 1024; // window = 16 KiB of log
     ReplNode primary(pc);
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.lsm = true;
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
+    fc.engine = "lsm";
 
     auto client = primary.connect();
     ASSERT_TRUE(client);
@@ -381,10 +325,8 @@ TEST(Replication, FollowerBelowLogStartCatchesUpFromSnapshot)
 TEST(Replication, FollowerReconnectsAndResumes)
 {
     ScratchDir dir("repl_reconnect");
-    ReplNode primary(makeConfig(dir.path() + "/p"));
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    ReplNode primary(nodeOptions(dir.path() + "/p"));
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
 
     auto client = primary.connect();
@@ -413,8 +355,8 @@ TEST(Replication, FollowerReconnectsAndResumes)
 TEST(Replication, SemiSyncAcksWaitForFollower)
 {
     ScratchDir dir("repl_semisync");
-    NodeConfig pc = makeConfig(dir.path() + "/p");
-    pc.sync_acks = true;
+    StackOptions pc = nodeOptions(dir.path() + "/p");
+    pc.replication.sync_acks = true;
     ReplNode primary(pc);
 
     // With no follower attached, semi-sync degenerates to async:
@@ -423,9 +365,7 @@ TEST(Replication, SemiSyncAcksWaitForFollower)
     ASSERT_TRUE(client);
     ASSERT_TRUE(client->put("solo", "ok").isOk());
 
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
     ASSERT_TRUE(
         waitFor([&] { return follower.has("solo", "ok"); }));
@@ -448,14 +388,12 @@ TEST(Replication, SemiSyncAcksWaitForFollower)
 TEST(Replication, SemiSyncFailsOpenOnAckTimeout)
 {
     ScratchDir dir("repl_failopen");
-    NodeConfig pc = makeConfig(dir.path() + "/p");
-    pc.sync_acks = true;
-    pc.ack_timeout_ms = 200;
+    StackOptions pc = nodeOptions(dir.path() + "/p");
+    pc.replication.sync_acks = true;
+    pc.replication.ack_timeout_ms = 200;
     ReplNode primary(pc);
 
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
     ReplNode follower(fc);
 
     auto client = primary.connect();
@@ -481,14 +419,13 @@ TEST(Replication, SemiSyncFailsOpenOnAckTimeout)
 TEST(Replication, ReplayIOErrorLatchesDegraded)
 {
     ScratchDir dir("repl_degraded");
-    ReplNode primary(makeConfig(dir.path() + "/p"));
+    ReplNode primary(nodeOptions(dir.path() + "/p"));
 
-    FaultInjectionEnv fault(Env::defaultEnv(), /*seed=*/3);
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary.port();
-    fc.env = &fault;
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
+    fc.env = "fault";
+    fc.fault_seed = 3;
     ReplNode follower(fc);
+    FaultInjectionEnv &fault = follower.faultEnv();
 
     auto client = primary.connect();
     ASSERT_TRUE(client);
@@ -530,10 +467,8 @@ TEST(Replication, PromoteFlipsRoleAndAcceptsWrites)
 {
     ScratchDir dir("repl_promote");
     auto primary =
-        std::make_unique<ReplNode>(makeConfig(dir.path() + "/p"));
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary->port();
+        std::make_unique<ReplNode>(nodeOptions(dir.path() + "/p"));
+    StackOptions fc = followerOf(dir.path() + "/f", *primary);
     ReplNode follower(fc);
 
     auto client = primary->connect();
@@ -576,7 +511,7 @@ TEST(Replication, PromoteFlipsRoleAndAcceptsWrites)
 TEST(Replication, SubscribeHandshakeValidation)
 {
     ScratchDir dir("repl_handshake");
-    ReplNode primary(makeConfig(dir.path() + "/p"));
+    ReplNode primary(nodeOptions(dir.path() + "/p"));
     auto client = primary.connect();
     ASSERT_TRUE(client);
     for (uint64_t i = 0; i < 5; ++i)
@@ -586,9 +521,9 @@ TEST(Replication, SubscribeHandshakeValidation)
 
     // Raw SUBSCRIBE with a resume offset past the log end: the
     // history diverged, and the server must say so instead of
-    // streaming garbage.
-    auto probe = [&](uint64_t resume) -> uint8_t {
-        auto fd = net::connectTcp("127.0.0.1", primary.port());
+    // streaming garbage. 0xff = the connection closed first.
+    auto probe = [&](uint16_t port, uint64_t resume) -> uint8_t {
+        auto fd = net::connectTcp("127.0.0.1", port);
         EXPECT_TRUE(fd.ok());
         Bytes payload;
         encodeSubscribe(payload, resume);
@@ -617,59 +552,26 @@ TEST(Replication, SubscribeHandshakeValidation)
         return reply.type;
     };
 
-    EXPECT_EQ(probe(end + 100),
+    EXPECT_EQ(probe(primary.port(), end + 100),
               static_cast<uint8_t>(WireStatus::InvalidArgument));
-    EXPECT_EQ(probe(3), // mid-record
+    EXPECT_EQ(probe(primary.port(), 3), // mid-record
               static_cast<uint8_t>(WireStatus::InvalidArgument));
 
     // A follower that sends SUBSCRIBE at a non-replicated server
     // gets NotSupported, not a hang.
-    kv::BTreeStore plain_store;
-    kv::LockedKVStore plain_locked(plain_store);
-    ServerOptions plain_options;
-    plain_options.port = 0;
-    plain_options.workers = 1;
-    obs::MetricsRegistry plain_metrics;
-    plain_options.metrics = &plain_metrics;
-    plain_options.slow_op_micros = -1;
-    Server plain(plain_locked, plain_options);
-    ASSERT_TRUE(plain.start().isOk());
-    auto fd = net::connectTcp("127.0.0.1", plain.port());
-    ASSERT_TRUE(fd.ok());
-    Bytes payload;
-    encodeSubscribe(payload, 0);
-    Bytes frame;
-    appendFrame(frame, static_cast<uint8_t>(Opcode::Subscribe), 1,
-                payload);
-    ASSERT_TRUE(net::writeAll(fd.value(), frame).isOk());
-    FrameReader reader;
-    Frame reply;
-    for (;;) {
-        if (reader.next(reply).isOk())
-            break;
-        Bytes buf;
-        size_t n = 0;
-        Status err;
-        auto r = net::readSome(fd.value(), buf, 4096, n, err);
-        ASSERT_TRUE(r != net::IoResult::Eof &&
-                    r != net::IoResult::Error);
-        if (n > 0)
-            reader.feed(buf);
-    }
-    EXPECT_EQ(reply.type,
+    StackOptions plain_options;
+    plain_options.engine = "btree";
+    ReplNode plain(plain_options);
+    EXPECT_EQ(probe(plain.port(), 0),
               static_cast<uint8_t>(WireStatus::NotSupported));
-    net::closeFd(fd.value());
-    plain.stop();
 }
 
 TEST(Replication, ShutdownFlushesSendQueues)
 {
     ScratchDir dir("repl_shutdown");
     auto primary =
-        std::make_unique<ReplNode>(makeConfig(dir.path() + "/p"));
-    NodeConfig fc = makeConfig(dir.path() + "/f");
-    fc.primary_host = "127.0.0.1";
-    fc.primary_port = primary->port();
+        std::make_unique<ReplNode>(nodeOptions(dir.path() + "/p"));
+    StackOptions fc = followerOf(dir.path() + "/f", *primary);
     ReplNode follower(fc);
 
     auto client = primary->connect();
