@@ -35,8 +35,12 @@
  * outermost frames of their own (they hand completions to workers,
  * so they rank below Worker::mutex); ReplicatedKVStore wraps the
  * engine inside a worker request and must nest between the worker
- * lock and the engine locks; its ReplicationLog is taken while the
- * store lock is held, hence one notch above.
+ * lock and the engine locks.
+ *
+ * ReplicationLog is every durable log: the hub's, and each engine's
+ * WAL, which the LSM appends to under its own lock and the log
+ * engine under LockedKVStore's. So it ranks above every store lock
+ * and below FaultInjectionEnv, which its file I/O reaches.
  *
  * Sharding (DESIGN.md §15): ShardedKVStore's one mutex only
  * serializes whole-store flush barriers, during which it acquires
@@ -71,12 +75,12 @@ inline constexpr int kPrefetchQueue = 11;
 inline constexpr int kCorrIndex = 12;
 inline constexpr int kCacheShard = 13;
 inline constexpr int kReplStore = 15;
-inline constexpr int kReplLog = 17;
 inline constexpr int kHybridRoute = 20;
 inline constexpr int kClassCache = 25;
 inline constexpr int kShardedStore = 28;
 inline constexpr int kLockedStore = 30;
 inline constexpr int kLSMStore = 40;
+inline constexpr int kReplLog = 42;
 inline constexpr int kFaultEnv = 45;
 inline constexpr int kMaintenance = 50;
 inline constexpr int kMetricsWriter = 55;
@@ -100,13 +104,13 @@ inline constexpr Entry kLockRanks[] = {
     {"CorrelationPrefetcher::index_mutex_", kCorrIndex},
     {"CacheTier::Shard::mutex", kCacheShard},
     {"ReplicatedKVStore::mutex_", kReplStore},
-    {"ReplicationLog::mutex_", kReplLog},
     {"HybridKVStore::route_mutex_", kHybridRoute},
     {"HybridKVStore::mutexAt()", kHybridRoute},
     {"CachingKVStore::mutex_", kClassCache},
     {"ShardedKVStore::mutex_", kShardedStore},
     {"LockedKVStore::mutex_", kLockedStore},
     {"LSMStore::mutex_", kLSMStore},
+    {"ReplicationLog::mutex_", kReplLog},
     {"FaultInjectionEnv::mutex_", kFaultEnv},
     {"MaintenanceThread::mutex_", kMaintenance},
     {"PeriodicMetricsWriter::mutex_", kMetricsWriter},

@@ -28,6 +28,12 @@ Status
 AppendLogStore::recoverDurable()
 {
     env_ = options_.env ? options_.env : Env::defaultEnv();
+    // A store of the old layout keeps its WAL in log.wal, which
+    // this one would never read: refuse it rather than open empty.
+    if (env_->fileExists(options_.dir + "/log.wal"))
+        return Status::notSupported(
+            "log store: " + options_.dir +
+            "/log.wal is the old WAL layout; the log is now wal/");
     Status s = env_->createDirs(options_.dir);
     if (!s.isOk())
         return s;
@@ -42,60 +48,44 @@ AppendLogStore::recoverDurable()
     }
 
     // Base state first, then the WAL on top of it.
-    s = WriteAheadLog::replay(
-        snapshotPath(),
-        [this](const WriteBatch &batch, uint64_t first_seq) {
-            for (const BatchEntry &e : batch.entries()) {
-                if (e.op == BatchOp::Put)
-                    putInMemory(e.key, e.value);
-                else
-                    delInMemory(e.key);
-            }
-            uint64_t end = first_seq + batch.size() - 1;
-            if (end > seq_)
-                seq_ = end;
-        },
-        env_);
-    if (!s.isOk())
-        return s;
-
-    uint64_t valid_bytes = 0;
-    s = WriteAheadLog::replay(
-        logPath(),
-        [this](const WriteBatch &batch, uint64_t first_seq) {
-            for (const BatchEntry &e : batch.entries()) {
-                if (e.op == BatchOp::Put)
-                    putInMemory(e.key, e.value);
-                else
-                    delInMemory(e.key);
-            }
-            uint64_t end = first_seq + batch.size() - 1;
-            if (end > seq_)
-                seq_ = end;
-        },
-        env_, &valid_bytes);
-    if (!s.isOk())
-        return s;
-    if (env_->fileExists(logPath())) {
-        uint64_t salvaged = 0;
-        s = env_->quarantineTail(logPath(), valid_bytes,
-                                 options_.dir + "/quarantine",
-                                 &salvaged);
-        if (!s.isOk())
-            return s;
-        if (salvaged > 0) {
-            quarantined_bytes_ += salvaged;
-            obs::MetricsRegistry::global()
-                .counter("kv.quarantined_bytes")
-                .inc(salvaged);
+    const RecordCallback apply = [this](const WriteBatch &batch,
+                                        uint64_t first_seq) {
+        for (const BatchEntry &e : batch.entries()) {
+            if (e.op == BatchOp::Put)
+                putInMemory(e.key, e.value);
+            else
+                delInMemory(e.key);
         }
-    }
+        uint64_t end = first_seq + batch.size() - 1;
+        if (end > seq_)
+            seq_ = end;
+    };
+    s = replayRecordFile(snapshotPath(), apply, env_);
+    if (!s.isOk())
+        return s;
 
-    auto wal = WriteAheadLog::open(logPath(), env_);
+    // Opening the log quarantines any torn tail, so new records
+    // are never appended past one.
+    ReplLogOptions lo;
+    lo.dir = options_.dir + "/wal";
+    lo.stem = "wal";
+    lo.segment_bytes = options_.segment_bytes;
+    lo.sync_appends = options_.sync_appends;
+    lo.env = env_;
+    auto wal = ReplicationLog::open(lo);
     if (!wal.ok())
         return wal.status();
     wal_ = wal.take();
-    // A freshly created log needs its directory entry persisted.
+    quarantined_bytes_ = wal_->quarantinedBytes();
+    if (quarantined_bytes_ > 0) {
+        obs::MetricsRegistry::global()
+            .counter("kv.quarantined_bytes")
+            .inc(quarantined_bytes_);
+    }
+    s = wal_->replay(wal_->startOffset(), apply);
+    if (!s.isOk())
+        return s;
+    // The wal/ directory may have just been created.
     return env_->syncDir(options_.dir);
 }
 
@@ -122,12 +112,8 @@ AppendLogStore::logAppend(BatchOp op, BytesView key, BytesView value)
         batch.put(key, value);
     else
         batch.del(key);
-    Status s = wal_->append(batch, ++seq_);
-    if (!s.isOk())
-        return s;
-    if (options_.sync_appends)
-        return wal_->sync();
-    return Status::ok();
+    // The log fdatasyncs the record itself under sync_appends.
+    return wal_->append(batch, ++seq_);
 }
 
 void
@@ -135,7 +121,7 @@ AppendLogStore::maybeCheckpoint()
 {
     if (!wal_ || options_.checkpoint_wal_bytes == 0 || degraded_)
         return;
-    if (wal_->sizeBytes() < options_.checkpoint_wal_bytes)
+    if (walSizeBytes() < options_.checkpoint_wal_bytes)
         return;
     // A checkpoint failure degrades the store inside checkpoint();
     // the write that triggered us is already safe in the old WAL.
@@ -166,12 +152,21 @@ AppendLogStore::checkpoint()
     }
 
     // 1. Write every live entry to the tmp snapshot (WAL format).
-    auto snap_result = WriteAheadLog::open(tmp, env_);
+    auto snap_result = env_->newWritableFile(tmp);
     if (!snap_result.ok())
         return degradeOnIOError(snap_result.status());
-    std::unique_ptr<WriteAheadLog> snap = snap_result.take();
+    std::unique_ptr<WritableFile> snap = snap_result.take();
     WriteBatch batch;
     uint64_t next_seq = 1;
+    uint64_t snapshot_bytes = 0;
+    auto append_batch = [&]() -> Status {
+        Bytes record;
+        appendWalRecord(record, batch, next_seq);
+        next_seq += batch.size();
+        batch.clear();
+        snapshot_bytes += record.size();
+        return snap->append(record);
+    };
     Status s = Status::ok();
     for (const auto &[key, entry] : index_) {
         Segment *seg = findSegment(entry.segment_id);
@@ -180,23 +175,19 @@ AppendLogStore::checkpoint()
         const Record &rec = seg->records[entry.record_idx];
         batch.put(rec.key, rec.value);
         if (batch.size() >= 512) {
-            s = snap->append(batch, next_seq);
+            s = append_batch();
             if (!s.isOk())
                 return degradeOnIOError(std::move(s));
-            next_seq += batch.size();
-            batch.clear();
         }
     }
-    if (!batch.empty()) {
-        s = snap->append(batch, next_seq);
-        if (!s.isOk())
-            return degradeOnIOError(std::move(s));
-    }
-    s = snap->sync();
+    if (!batch.empty())
+        s = append_batch();
+    if (s.isOk())
+        s = snap->sync();
+    if (s.isOk())
+        s = snap->close();
     if (!s.isOk())
         return degradeOnIOError(std::move(s));
-    uint64_t snapshot_bytes = snap->sizeBytes();
-    snap.reset(); // destroy = close the tmp file
 
     // 2. Commit: rename over the old snapshot, sync the directory.
     s = env_->renameFile(tmp, snapshotPath());
@@ -206,8 +197,9 @@ AppendLogStore::checkpoint()
     if (!s.isOk())
         return degradeOnIOError(std::move(s));
 
-    // 3. Only now is the WAL redundant: truncate it.
-    s = wal_->reset();
+    // 3. Only now is the WAL redundant: restart it, empty, at its
+    //    end.
+    s = wal_->reset(wal_->endOffset(), wal_->lastSeq(), false);
     if (!s.isOk())
         return degradeOnIOError(std::move(s));
 

@@ -23,7 +23,7 @@
 
 #include "common/env.hh"
 #include "kvstore/kvstore.hh"
-#include "kvstore/wal.hh"
+#include "kvstore/repl_log.hh"
 
 namespace ethkv::kv
 {
@@ -33,9 +33,10 @@ struct LogStoreOptions
 {
     uint64_t segment_bytes = 1u << 20; //!< Seal threshold.
     double gc_dead_ratio = 0.5;        //!< GC trigger per segment.
-    //! Non-empty = durable mode: every put/del is logged to
-    //! <dir>/log.wal before it is applied, and open() replays the
-    //! log. Empty (the default) keeps the store purely in-memory.
+    //! Non-empty = durable mode: every put/del is logged to the
+    //! WAL in <dir>/wal/ before it is applied, and open() replays
+    //! the log. Empty (the default) keeps the store purely
+    //! in-memory.
     std::string dir;
     bool sync_appends = false; //!< fdatasync per durable append.
     Env *env = nullptr;        //!< nullptr = defaultEnv().
@@ -51,17 +52,19 @@ struct LogStoreOptions
  *
  * Durability: the segment/GC machinery is an in-memory layout; in
  * durable mode the logical key->value map is persisted through a
- * WriteAheadLog and rebuilt by replay on open.
+ * ReplicationLog (<dir>/wal/wal-<n>.log) and rebuilt by replay on
+ * open.
  *
  * Checkpointing bounds WAL growth: checkpoint() writes every live
  * entry to <dir>/snapshot.tmp (WAL record format), syncs it,
  * atomically renames it over <dir>/snapshot, syncs the directory,
- * and only then truncates log.wal. Recovery replays the snapshot
- * first, then the WAL on top. Every crash window is safe: before
- * the rename the old snapshot+WAL pair is intact; between the
- * rename and the truncate, replaying the full old WAL over the new
- * snapshot is idempotent (the snapshot is exactly the WAL's final
- * state, and per-key last-writer-wins replay reproduces it).
+ * and only then resets the log, empty, at its end offset. Recovery
+ * replays the snapshot first, then the WAL on top. Every crash
+ * window is safe: before the rename the old snapshot+WAL pair is
+ * intact; between the rename and the reset, replaying the full old
+ * WAL over the new snapshot is idempotent (the snapshot is exactly
+ * the WAL's final state, and per-key last-writer-wins replay
+ * reproduces it).
  */
 class AppendLogStore : public KVStore
 {
@@ -115,7 +118,7 @@ class AppendLogStore : public KVStore
     /** Current WAL length (0 in in-memory mode). */
     uint64_t walSizeBytes() const
     {
-        return wal_ ? wal_->sizeBytes() : 0;
+        return wal_ ? wal_->endOffset() - wal_->startOffset() : 0;
     }
 
     /** Checkpoints taken since open. */
@@ -162,7 +165,6 @@ class AppendLogStore : public KVStore
     Status degradeOnIOError(Status s);
     /** Auto-checkpoint when the WAL crosses its threshold. */
     void maybeCheckpoint();
-    std::string logPath() const { return options_.dir + "/log.wal"; }
     std::string snapshotPath() const
     {
         return options_.dir + "/snapshot";
@@ -174,7 +176,7 @@ class AppendLogStore : public KVStore
     uint64_t next_segment_id_ = 0;
     IOStats stats_;
     Env *env_ = nullptr;
-    std::unique_ptr<WriteAheadLog> wal_;
+    std::unique_ptr<ReplicationLog> wal_;
     uint64_t seq_ = 0;
     bool degraded_ = false;
     std::string degraded_reason_;

@@ -46,18 +46,21 @@ levelCompactionBytes(int level)
     return *counters[level];
 }
 
+/** First line of every MANIFEST this store reads or writes. */
+constexpr const char *kManifestTag = "ethkv-manifest v2";
+
 /** Decoded MANIFEST contents (plain text, one directive a line). */
 struct ManifestImage
 {
     uint64_t next_file = 0;
     uint64_t seq = 0;
+    //! Oldest WAL offset an unflushed write may sit at.
+    uint64_t log_start = 0;
     //! (level, file_no) pairs in file order.
     std::vector<std::pair<uint64_t, uint64_t>> files;
-    //! Sealed WAL segments (imm-<n>.wal) not yet flushed to L0.
-    std::vector<uint64_t> wals;
 };
 
-void
+Status
 parseManifest(BytesView data, ManifestImage &out)
 {
     size_t pos = 0;
@@ -66,10 +69,18 @@ parseManifest(BytesView data, ManifestImage &out)
         size_t len =
             eol == BytesView::npos ? data.size() - pos : eol - pos;
         std::string line(data.substr(pos, len));
+        const bool header = pos == 0;
         pos = eol == BytesView::npos ? data.size() : eol + 1;
         uint64_t a, b;
-        if (std::sscanf(line.c_str(), "next_file %" SCNu64, &a) ==
-            1) {
+        if (header) {
+            // v1 named sealed WAL files; no store of that layout
+            // is opened by this one.
+            if (line != kManifestTag)
+                return Status::notSupported("lsm: MANIFEST is \"" +
+                                            line + "\", not \"" +
+                                            kManifestTag + "\"");
+        } else if (std::sscanf(line.c_str(), "next_file %" SCNu64,
+                               &a) == 1) {
             out.next_file = a;
         } else if (std::sscanf(line.c_str(), "seq %" SCNu64, &a) ==
                    1) {
@@ -78,11 +89,14 @@ parseManifest(BytesView data, ManifestImage &out)
                                "file %" SCNu64 " %" SCNu64, &a,
                                &b) == 2) {
             out.files.emplace_back(a, b);
-        } else if (std::sscanf(line.c_str(), "wal %" SCNu64, &a) ==
-                   1) {
-            out.wals.push_back(a);
+        } else if (std::sscanf(line.c_str(), "log_start %" SCNu64,
+                               &a) == 1) {
+            out.log_start = a;
         }
     }
+    if (data.empty())
+        return Status::corruption("lsm: empty MANIFEST");
+    return Status::ok();
 }
 
 } // namespace
@@ -137,9 +151,9 @@ LSMStore::~LSMStore()
     cv_.notify_all();
     if (maintenance_)
         maintenance_->stop();
-    // Unflushed immutable memtables stay behind as imm-<n>.wal
-    // segments listed in the MANIFEST; recovery flushes them.
-    // Best effort: make buffered writes durable on clean shutdown.
+    // Unflushed memtables stay behind in the WAL, from the
+    // MANIFEST's log_start on; recovery replays them. Best effort:
+    // make buffered writes durable on clean shutdown.
     if (wal_) {
         ETHKV_IGNORE_STATUS(wal_->sync(),
                             "best-effort durability in dtor; a "
@@ -153,21 +167,6 @@ LSMStore::tablePath(uint64_t file_no) const
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "/%06" PRIu64 ".sst", file_no);
-    return options_.dir + buf;
-}
-
-std::string
-LSMStore::walPath() const
-{
-    return options_.dir + "/wal.log";
-}
-
-std::string
-LSMStore::immWalPath(uint64_t wal_no) const
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "/imm-%06" PRIu64 ".wal",
-                  wal_no);
     return options_.dir + buf;
 }
 
@@ -226,7 +225,7 @@ LSMStore::recordBgErrorLocked(const Status &cause)
         obs::MetricsRegistry::global().counter("kv.bg_errors");
     bg_errors.inc();
     // A failed background flush means the immutable queue can never
-    // drain (its WAL segment is already sealed), so any background
+    // drain (its memtable is already sealed), so any background
     // failure — not just IOError — must go sticky: the foreground
     // path surfaces IODegraded instead of stalling forever.
     degradeLocked(cause);
@@ -244,18 +243,26 @@ LSMStore::recover()
 {
     // Recovery is single-threaded: the maintenance thread starts
     // only at the end, so "Locked" helpers are safe to call bare.
+    // A store of the v1 layout that never flushed has no MANIFEST
+    // to refuse, only its single WAL: refuse that instead of
+    // opening empty over it.
+    if (env_->fileExists(options_.dir + "/wal.log"))
+        return Status::notSupported(
+            "lsm: " + options_.dir +
+            "/wal.log is the v1 WAL layout; the log is now wal/");
     std::vector<TableVec> levels(max_levels);
-    ManifestImage img;
     if (env_->fileExists(manifestPath())) {
         Bytes data;
         Status ms = env_->readFileToString(manifestPath(), data);
         if (!ms.isOk())
             return ms;
-        img.next_file = next_file_no_;
-        img.seq = seq_;
-        parseManifest(data, img);
+        ManifestImage img;
+        ms = parseManifest(data, img);
+        if (!ms.isOk())
+            return ms;
         next_file_no_ = img.next_file;
         seq_ = img.seq;
+        log_start_ = img.log_start;
         for (auto [level, file_no] : img.files) {
             if (level >= max_levels) {
                 return Status::corruption(
@@ -282,133 +289,60 @@ LSMStore::recover()
                              y->reader->props().smallest_key;
                   });
     }
-
-    // Sealed WAL segments are memtables that were queued for
-    // background flush when the process died. Flush each inline to
-    // an L0 table (LevelDB-style), oldest first so newer segments
-    // get higher file numbers and sort first in L0.
-    std::vector<uint64_t> recovered_wals = img.wals;
-    std::sort(recovered_wals.begin(), recovered_wals.end());
-    std::vector<std::string> flushed_wal_paths;
-    for (uint64_t wal_no : recovered_wals) {
-        std::string path = immWalPath(wal_no);
-        if (!env_->fileExists(path)) {
-            // Crash window between the manifest listing the segment
-            // and the wal.log rename: the records are still in
-            // wal.log and get replayed below.
-            continue;
-        }
-        MemTable mem;
-        uint64_t valid_bytes = 0;
-        Status s = WriteAheadLog::replay(
-            path,
-            [&](const WriteBatch &batch, uint64_t first_seq) {
-                uint64_t seq = first_seq;
-                for (const BatchEntry &e : batch.entries()) {
-                    mem.add(e.key, e.value, seq,
-                            e.op == BatchOp::Put
-                                ? EntryType::Put
-                                : EntryType::Tombstone);
-                    ++seq;
-                }
-                if (seq > seq_)
-                    seq_ = seq;
-            },
-            env_, &valid_bytes);
-        if (!s.isOk())
-            return s;
-        uint64_t salvaged = 0;
-        s = env_->quarantineTail(path, valid_bytes,
-                                 options_.dir + "/quarantine",
-                                 &salvaged);
-        if (!s.isOk())
-            return s;
-        if (salvaged > 0) {
-            quarantined_bytes_ += salvaged;
-            obs::MetricsRegistry::global()
-                .counter("kv.quarantined_bytes")
-                .inc(salvaged);
-        }
-        if (!mem.empty()) {
-            uint64_t file_no = next_file_no_++;
-            uint64_t file_bytes = 0;
-            s = writeTableFromMem(mem, file_no, file_bytes);
-            if (!s.isOk())
-                return s;
-            stats_.flush_bytes += file_bytes;
-            stats_.bytes_written += file_bytes;
-            auto reader =
-                SSTableReader::open(tablePath(file_no), env_);
-            if (!reader.ok())
-                return reader.status();
-            levels[0].insert(levels[0].begin(),
-                             std::make_shared<TableHandle>(
-                                 file_no, reader.take(), env_));
-        }
-        flushed_wal_paths.push_back(path);
-    }
-
     auto ver = std::make_shared<Version>();
     ver->levels = std::move(levels);
     version_ = std::move(ver);
 
-    if (!img.wals.empty()) {
-        // Commit the recovered tables and drop the wal directives
-        // before deleting the segments they replaced.
-        Status s = persistManifestLocked();
-        if (!s.isOk())
-            return s;
-        for (const std::string &path : flushed_wal_paths) {
-            ETHKV_IGNORE_STATUS(
-                env_->removeFile(path),
-                "the manifest no longer references this sealed "
-                "WAL; leaking it costs disk, not correctness");
-        }
-    }
-
-    // Replay the active WAL into a fresh memtable; quarantine any
-    // torn tail before appending to the log again (appending past a
-    // torn record would leave the new records unreachable to
-    // replay).
-    uint64_t valid_bytes = 0;
-    Status s = WriteAheadLog::replay(
-        walPath(),
-        [this](const WriteBatch &batch, uint64_t first_seq) {
-            uint64_t seq = first_seq;
-            for (const BatchEntry &e : batch.entries()) {
-                memtable_->add(e.key, e.value, seq,
-                               e.op == BatchOp::Put
-                                   ? EntryType::Put
-                                   : EntryType::Tombstone);
-                ++seq;
-            }
-            if (seq > seq_)
-                seq_ = seq;
-        },
-        env_, &valid_bytes);
-    if (!s.isOk())
-        return s;
-    if (env_->fileExists(walPath())) {
-        uint64_t salvaged = 0;
-        s = env_->quarantineTail(walPath(), valid_bytes,
-                                 options_.dir + "/quarantine",
-                                 &salvaged);
-        if (!s.isOk())
-            return s;
-        if (salvaged > 0) {
-            quarantined_bytes_ += salvaged;
-            obs::MetricsRegistry::global()
-                .counter("kv.quarantined_bytes")
-                .inc(salvaged);
-        }
-    }
-
-    auto wal = WriteAheadLog::open(walPath(), env_);
+    // Open the WAL (quarantining any torn tail, so new records are
+    // never appended past one) and replay every write no SSTable
+    // holds yet into a fresh memtable.
+    ReplLogOptions lo;
+    lo.dir = options_.dir + "/wal";
+    lo.stem = "wal";
+    lo.segment_bytes = options_.memtable_bytes;
+    lo.sync_appends = options_.sync_wal;
+    lo.env = env_;
+    auto wal = ReplicationLog::open(lo);
     if (!wal.ok())
         return wal.status();
     wal_ = wal.take();
-    // The log may have just been created; fdatasync on the file
-    // alone never persists its directory entry.
+    quarantined_bytes_ = wal_->quarantinedBytes();
+    if (quarantined_bytes_ > 0) {
+        obs::MetricsRegistry::global()
+            .counter("kv.quarantined_bytes")
+            .inc(quarantined_bytes_);
+    }
+    if (wal_->startOffset() > log_start_)
+        return Status::corruption(
+            "lsm: WAL starts past the MANIFEST's log_start");
+    Status s = Status::ok();
+    if (wal_->endOffset() < log_start_) {
+        // Unsynced records an SSTable already holds were torn off:
+        // restart the log at log_start, where replay looks.
+        s = wal_->reset(log_start_, seq_, false);
+    } else {
+        s = wal_->replay(
+            log_start_,
+            [this](const WriteBatch &batch, uint64_t first_seq) {
+                uint64_t seq = first_seq;
+                for (const BatchEntry &e : batch.entries()) {
+                    memtable_->add(e.key, e.value, seq,
+                                   e.op == BatchOp::Put
+                                       ? EntryType::Put
+                                       : EntryType::Tombstone);
+                    ++seq;
+                }
+                if (seq > seq_)
+                    seq_ = seq;
+            });
+    }
+    if (!s.isOk())
+        return s;
+    // Segments a crash kept from being dropped go now.
+    s = wal_->trimTo(log_start_);
+    if (!s.isOk())
+        return s;
+    // The wal/ directory may have just been created.
     s = env_->syncDir(options_.dir);
     if (!s.isOk())
         return s;
@@ -422,23 +356,16 @@ LSMStore::recover()
 Status
 LSMStore::persistManifestLocked()
 {
-    std::string body = "ethkv-manifest v1\n";
+    std::string body = std::string(kManifestTag) + "\n";
     body += "next_file " + std::to_string(next_file_no_) + "\n";
     body += "seq " + std::to_string(seq_) + "\n";
+    body += "log_start " + std::to_string(log_start_) + "\n";
     for (int level = 0; level < max_levels; ++level) {
         for (const auto &t : version_->levels[level]) {
             body += "file " + std::to_string(level) + " " +
                     std::to_string(t->file_no) + "\n";
         }
     }
-    // Sealed-but-unflushed WAL segments, oldest first. A `wal n`
-    // directive is written BEFORE wal.log is renamed to
-    // imm-<n>.wal, so a crash in between leaves a directive whose
-    // file is missing — recovery skips it and finds the records
-    // still in wal.log.
-    for (const ImmutableMemtable &imm : imm_)
-        body += "wal " + std::to_string(imm.wal_no) + "\n";
-
     // Commit protocol: sync the temp file, rename it over MANIFEST,
     // then fsync the directory. Skipping either sync re-creates the
     // seed's bug where a crash could surface an empty or stale
@@ -528,15 +455,11 @@ LSMStore::apply(const WriteBatch &batch)
     if (degraded_)
         return ioDegradedStatusLocked();
 
+    // The log fdatasyncs the record itself under sync_wal.
     uint64_t first_seq = seq_ + 1;
     Status s = wal_->append(batch, first_seq);
     if (!s.isOk())
         return degradeOnIOErrorLocked(std::move(s));
-    if (options_.sync_wal) {
-        s = wal_->sync();
-        if (!s.isOk())
-            return degradeOnIOErrorLocked(std::move(s));
-    }
     for (const BatchEntry &e : batch.entries()) {
         ++seq_;
         if (e.op == BatchOp::Put) {
@@ -554,51 +477,23 @@ LSMStore::apply(const WriteBatch &batch)
         stats_.bytes_written += e.key.size() + e.value.size();
     }
     if (memtable_->approximateBytes() >= options_.memtable_bytes)
-        return sealMemtableLocked();
+        sealMemtableLocked();
     return Status::ok();
 }
 
-Status
+void
 LSMStore::sealMemtableLocked()
 {
     if (memtable_->empty())
-        return Status::ok();
-
-    uint64_t wal_no = next_file_no_++;
-    // Close the active log so the rename below moves a quiesced
-    // file; a failure anywhere past this point leaves wal_ null,
-    // which is safe because the store degrades (no more writes).
-    wal_.reset();
+        return;
+    // Its records stay in the WAL until the flush commits a
+    // log_start past them.
     imm_.push_back({std::shared_ptr<const MemTable>(
                         memtable_.release()),
-                    wal_no});
+                    wal_->endOffset()});
     memtable_ = std::make_unique<MemTable>();
-
-    Status s = persistManifestLocked();
-    if (!s.isOk()) {
-        degradeLocked(s);
-        return s;
-    }
-    s = env_->renameFile(walPath(), immWalPath(wal_no));
-    if (!s.isOk()) {
-        degradeLocked(s);
-        return s;
-    }
-    s = env_->syncDir(options_.dir);
-    if (!s.isOk()) {
-        degradeLocked(s);
-        return s;
-    }
-    auto wal = WriteAheadLog::open(walPath(), env_);
-    if (!wal.ok()) {
-        degradeLocked(wal.status());
-        return wal.status();
-    }
-    wal_ = wal.take();
-
     updateQueueGaugeLocked();
     maintenance_->signal();
-    return Status::ok();
 }
 
 bool
@@ -697,18 +592,16 @@ LSMStore::backgroundFlush(std::unique_lock<std::mutex> &lock)
     ETHKV_DCHECK_EQ(version_->levels[0].front()->file_no, file_no);
     ETHKV_DCHECK(!imm_.empty());
     imm_.pop_front();
+    log_start_ = imm.log_end;
     s = persistManifestLocked();
     if (!s.isOk())
         return s;
+    // Only now may the log drop what the new table holds.
+    ETHKV_IGNORE_STATUS(wal_->trimTo(log_start_),
+                        "the segments stay on disk below log_start; "
+                        "the next flush or rotation drops them");
     updateQueueGaugeLocked();
     cv_.notify_all();
-
-    lock.unlock();
-    ETHKV_IGNORE_STATUS(
-        env_->removeFile(immWalPath(imm.wal_no)),
-        "the manifest no longer references this sealed WAL; "
-        "leaking it costs disk, not correctness");
-    lock.lock();
     return Status::ok();
 }
 
@@ -1167,9 +1060,7 @@ LSMStore::flush()
     std::unique_lock<std::mutex> lock(mutex_.native());
     if (degraded_)
         return ioDegradedStatusLocked();
-    Status s = sealMemtableLocked();
-    if (!s.isOk())
-        return s;
+    sealMemtableLocked();
     maintenance_->signal();
     // Barrier: wait for full quiescence so callers (and tests) see
     // every write in an SSTable and the level shape settled.
@@ -1180,12 +1071,7 @@ LSMStore::flush()
     });
     if (degraded_)
         return ioDegradedStatusLocked();
-    if (wal_) {
-        s = wal_->sync();
-        if (!s.isOk())
-            return degradeOnIOErrorLocked(std::move(s));
-    }
-    return Status::ok();
+    return degradeOnIOErrorLocked(wal_->sync());
 }
 
 uint64_t
@@ -1229,9 +1115,7 @@ LSMStore::compactAll()
     std::unique_lock<std::mutex> lock(mutex_.native());
     if (degraded_)
         return ioDegradedStatusLocked();
-    Status s = sealMemtableLocked();
-    if (!s.isOk())
-        return s;
+    sealMemtableLocked();
     maintenance_->signal();
     // Drain the flush queue and any in-flight background
     // compaction, then run the full compaction inline while
@@ -1243,6 +1127,7 @@ LSMStore::compactAll()
         return ioDegradedStatusLocked();
 
     CompactionScope scope(*this, lock);
+    Status s = Status::ok();
     if (!version_->levels[0].empty()) {
         TableVec inputs;
         Bytes smallest, largest;
@@ -1358,60 +1243,53 @@ LSMStore::checkInvariants() const
         }
     }
 
-    // Sealed WAL segments queue oldest-first with unique numbers.
+    // Sealed memtables queue oldest-first, each ending further into
+    // the WAL, and the WAL holds every record none has flushed.
     for (size_t i = 1; i < imm_.size(); ++i) {
-        if (imm_[i - 1].wal_no >= imm_[i].wal_no)
+        if (imm_[i - 1].log_end > imm_[i].log_end)
             return corrupt("immutable queue not oldest-first");
     }
+    if (log_start_ < wal_->startOffset() ||
+        log_start_ > wal_->endOffset())
+        return corrupt("log_start outside the WAL");
 
     // The on-disk MANIFEST must describe exactly the in-memory
-    // table set and sealed-WAL queue (it is rewritten on every
-    // seal/flush/compaction). A degraded store is exempt: the
-    // failed commit that degraded it may legitimately have left the
-    // manifest behind memory.
+    // table set and log_start (it is rewritten on every flush and
+    // compaction). A degraded store is exempt: the failed commit
+    // that degraded it may legitimately have left the manifest
+    // behind memory.
     if (degraded_)
         return Status::ok();
-    std::set<std::pair<uint64_t, uint64_t>> manifest_files;
-    std::set<uint64_t> manifest_wals;
-    uint64_t manifest_next = 0, manifest_seq = 0;
-    const bool have_manifest = env_->fileExists(manifestPath());
-    if (have_manifest) {
-        Bytes data;
-        Status ms = env_->readFileToString(manifestPath(), data);
-        if (!ms.isOk())
-            return ms;
-        ManifestImage img;
-        parseManifest(data, img);
-        manifest_next = img.next_file;
-        manifest_seq = img.seq;
-        for (auto [level, file_no] : img.files)
-            manifest_files.insert({level, file_no});
-        manifest_wals.insert(img.wals.begin(), img.wals.end());
-    }
     std::set<std::pair<uint64_t, uint64_t>> live_files;
     for (int level = 0; level < max_levels; ++level)
         for (const auto &t : ver->levels[level])
             live_files.insert(
                 {static_cast<uint64_t>(level), t->file_no});
-    std::set<uint64_t> live_wals;
-    for (const ImmutableMemtable &imm : imm_)
-        live_wals.insert(imm.wal_no);
-    if (!have_manifest && !live_files.empty())
-        return corrupt("tables open but MANIFEST missing");
-    if (have_manifest) {
-        if (manifest_files != live_files)
-            return corrupt(
-                "MANIFEST table set disagrees with memory");
-        if (manifest_wals != live_wals)
-            return corrupt(
-                "MANIFEST sealed-WAL set disagrees with memory");
-        if (manifest_next > next_file_no_)
-            return corrupt("MANIFEST next_file ahead of memory");
-        // Writes since the last flush live in the WAL, so the
-        // manifest may lag seq_ but never lead it.
-        if (manifest_seq > seq_)
-            return corrupt("MANIFEST seq ahead of memory");
+    if (!env_->fileExists(manifestPath())) {
+        if (!live_files.empty())
+            return corrupt("tables open but MANIFEST missing");
+        return Status::ok();
     }
+    Bytes data;
+    Status ms = env_->readFileToString(manifestPath(), data);
+    if (!ms.isOk())
+        return ms;
+    ManifestImage img;
+    ms = parseManifest(data, img);
+    if (!ms.isOk())
+        return ms;
+    std::set<std::pair<uint64_t, uint64_t>> manifest_files(
+        img.files.begin(), img.files.end());
+    if (manifest_files != live_files)
+        return corrupt("MANIFEST table set disagrees with memory");
+    if (img.log_start != log_start_)
+        return corrupt("MANIFEST log_start disagrees with memory");
+    if (img.next_file > next_file_no_)
+        return corrupt("MANIFEST next_file ahead of memory");
+    // Writes since the last flush live in the WAL, so the manifest
+    // may lag seq_ but never lead it.
+    if (img.seq > seq_)
+        return corrupt("MANIFEST seq ahead of memory");
     return Status::ok();
 }
 

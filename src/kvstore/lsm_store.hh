@@ -3,9 +3,13 @@
  * Leveled LSM-tree KV store, modeled on Pebble/LevelDB.
  *
  * This is the engine Geth uses underneath (Pebble), rebuilt in C++:
- * writes land in a WAL and a skiplist memtable; full memtables are
- * sealed as immutable memtables and flushed to L0 SSTables by a
- * background maintenance thread, which then runs score-driven
+ * writes land in a WAL (a ReplicationLog in <dir>/wal/) and a
+ * skiplist memtable; full memtables are sealed as immutable
+ * memtables — a seal writes nothing — and flushed to L0 SSTables by
+ * a background maintenance thread; each flush commits the oldest
+ * log offset still needed (`log_start`) to the MANIFEST, and only
+ * then lets the log drop the segments below it. The maintenance
+ * thread then runs score-driven
  * compactions (L0 file count, per-level byte budgets). Deletes write
  * tombstones that survive until they reach the bottommost level —
  * exactly the overhead the paper's Finding 5 attributes to LSM
@@ -40,8 +44,8 @@
 #include "kvstore/kvstore.hh"
 #include "kvstore/lsm_maintenance.hh"
 #include "kvstore/memtable.hh"
+#include "kvstore/repl_log.hh"
 #include "kvstore/sstable.hh"
-#include "kvstore/wal.hh"
 
 namespace ethkv::obs
 {
@@ -103,7 +107,8 @@ size_t pickMinOverlapTable(const std::vector<TableSpan> &level,
 class LSMStore : public KVStore
 {
   public:
-    /** Open (or create) a store in options.dir, replaying the WAL. */
+    /** Open (or create) a store in options.dir, replaying the WAL
+     *  from the MANIFEST's log_start. */
     static Result<std::unique_ptr<LSMStore>> open(
         const LSMOptions &options);
 
@@ -137,7 +142,7 @@ class LSMStore : public KVStore
      * Checks the level shape (per-table key-range sanity, L1+
      * sorted and non-overlapping, file numbers unique and below
      * next_file_no_) and that the on-disk MANIFEST agrees with the
-     * in-memory table set and sealed-WAL queue. Debug builds
+     * in-memory table set and log_start. Debug builds
      * additionally DCHECK these along the write path; tests call
      * this directly after mutations and corruption injections.
      *
@@ -157,7 +162,7 @@ class LSMStore : public KVStore
     /** Why the store degraded; empty while healthy. */
     std::string degradedReason() const;
 
-    /** WAL bytes salvaged to quarantine/ during recovery. */
+    /** WAL bytes salvaged to wal/quarantine/ during recovery. */
     uint64_t quarantinedBytes() const;
 
     /** Number of SSTables per level (diagnostics and tests). */
@@ -207,11 +212,11 @@ class LSMStore : public KVStore
     };
 
     /** A sealed memtable queued for background flush, together with
-     *  the number of the WAL segment holding its records. */
+     *  the WAL offset just past its last record. */
     struct ImmutableMemtable
     {
         std::shared_ptr<const MemTable> mem;
-        uint64_t wal_no;
+        uint64_t log_end;
     };
 
     /**
@@ -242,10 +247,9 @@ class LSMStore : public KVStore
     Status backgroundFlush(std::unique_lock<std::mutex> &lock);
     Status backgroundCompact(std::unique_lock<std::mutex> &lock);
 
-    /** Seal the active memtable: rotate the WAL to imm-<n>.wal,
-     *  queue the memtable for background flush, and wake the
-     *  maintenance thread. Degrades the store itself on failure. */
-    Status sealMemtableLocked();
+    /** Seal the active memtable: queue it for background flush and
+     *  wake the maintenance thread. No I/O. */
+    void sealMemtableLocked();
 
     /** Block while the write path is over its backpressure limits,
      *  charging the wait to kv.stall_micros. */
@@ -287,8 +291,6 @@ class LSMStore : public KVStore
     uint64_t levelBytesLocked(int level) const;
     uint64_t levelLimit(int level) const;
     std::string tablePath(uint64_t file_no) const;
-    std::string walPath() const;
-    std::string immWalPath(uint64_t wal_no) const;
     std::string manifestPath() const;
     Status persistManifestLocked();
     Status ioDegradedStatusLocked() const;
@@ -340,8 +342,10 @@ class LSMStore : public KVStore
     std::string degraded_reason_;
     uint64_t quarantined_bytes_ = 0;
     std::unique_ptr<MemTable> memtable_;
-    std::unique_ptr<WriteAheadLog> wal_;
-    uint64_t active_wal_no_ = 0; //!< 0 = none sealed yet.
+    std::unique_ptr<ReplicationLog> wal_;
+    //! Oldest WAL offset an unflushed memtable needs; the MANIFEST
+    //! commits it and the log keeps everything from it on.
+    uint64_t log_start_ = 0;
     std::deque<ImmutableMemtable> imm_; //!< Oldest first.
 
     //! Bytes read via readers already retired from the version;

@@ -4,8 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "common/dcheck.hh"
-#include "kvstore/wal.hh"
+#include "common/bytes.hh"
+#include "common/varint.hh"
+#include "common/xxhash.hh"
 
 namespace ethkv::kv
 {
@@ -18,20 +19,160 @@ constexpr uint64_t kFirstSegment = 1;
 constexpr const char *kStartMarker = "START";
 constexpr const char *kStartTag = "ethkv.repl.start.v1";
 
-/** Sealed-segment read window slack: enough for a typical record
- *  so one read usually covers the budget without a second probe. */
+/** Read window slack: enough for a typical record so one read
+ *  usually covers the budget without a second probe. */
 constexpr uint64_t kReadSlack = 64u << 10;
 
-std::string
-segmentName(uint64_t index)
+void
+appendBE32(Bytes &out, uint32_t v)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "repl-%06llu.log",
-                  static_cast<unsigned long long>(index));
-    return buf;
+    for (int shift = 24; shift >= 0; shift -= 8)
+        out.push_back(static_cast<char>((v >> shift) & 0xff));
+}
+
+uint32_t
+readBE32(const unsigned char *p)
+{
+    return (static_cast<uint32_t>(p[0]) << 24) |
+           (static_cast<uint32_t>(p[1]) << 16) |
+           (static_cast<uint32_t>(p[2]) << 8) |
+           static_cast<uint32_t>(p[3]);
+}
+
+uint64_t
+readBE64(const unsigned char *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v = (v << 8) | p[i];
+    return v;
+}
+
+Bytes
+encodePayload(const WriteBatch &batch, uint64_t first_seq)
+{
+    Bytes payload;
+    appendVarint(payload, first_seq);
+    appendVarint(payload, batch.size());
+    for (const BatchEntry &e : batch.entries()) {
+        payload.push_back(static_cast<char>(e.op));
+        appendVarint(payload, e.key.size());
+        payload += e.key;
+        appendVarint(payload, e.value.size());
+        payload += e.value;
+    }
+    return payload;
+}
+
+bool
+decodePayload(BytesView payload, WriteBatch &batch,
+              uint64_t &first_seq)
+{
+    size_t pos = 0;
+    uint64_t count;
+    if (!readVarint(payload, pos, first_seq))
+        return false;
+    if (!readVarint(payload, pos, count))
+        return false;
+    for (uint64_t i = 0; i < count; ++i) {
+        if (pos >= payload.size())
+            return false;
+        uint8_t op = static_cast<uint8_t>(payload[pos++]);
+        if (op > static_cast<uint8_t>(BatchOp::Delete))
+            return false;
+        uint64_t klen, vlen;
+        if (!readVarint(payload, pos, klen))
+            return false;
+        if (pos + klen > payload.size())
+            return false;
+        BytesView key = payload.substr(pos, klen);
+        pos += klen;
+        if (!readVarint(payload, pos, vlen))
+            return false;
+        if (pos + vlen > payload.size())
+            return false;
+        BytesView value = payload.substr(pos, vlen);
+        pos += vlen;
+        if (op == static_cast<uint8_t>(BatchOp::Put))
+            batch.put(key, value);
+        else
+            batch.del(key);
+    }
+    return pos == payload.size();
+}
+
+/** Call cb for each intact record from data[pos] on; returns the
+ *  offset just past the last one. */
+size_t
+replayRecords(BytesView data, size_t pos, const RecordCallback &cb)
+{
+    for (;;) {
+        WriteBatch batch;
+        uint64_t first_seq = 0;
+        if (!decodeWalRecord(data, pos, batch, first_seq).isOk())
+            return pos; // clean EOF, torn tail, or corruption
+        cb(batch, first_seq);
+    }
 }
 
 } // namespace
+
+void
+appendWalRecord(Bytes &out, const WriteBatch &batch,
+                uint64_t first_seq)
+{
+    Bytes payload = encodePayload(batch, first_seq);
+    out.reserve(out.size() + 12 + payload.size());
+    appendBE32(out, static_cast<uint32_t>(payload.size()));
+    appendBE64(out, xxhash64(payload));
+    out += payload;
+}
+
+Status
+peekWalRecord(BytesView data, size_t pos, size_t &len)
+{
+    if (pos + 12 > data.size())
+        return Status::notFound(); // torn header / clean EOF
+    const auto *hp =
+        reinterpret_cast<const unsigned char *>(data.data() + pos);
+    uint32_t payload_len = readBE32(hp);
+    uint64_t checksum = readBE64(hp + 4);
+    if (pos + 12 + payload_len > data.size())
+        return Status::notFound(); // torn payload
+    BytesView payload = data.substr(pos + 12, payload_len);
+    if (xxhash64(payload) != checksum)
+        return Status::corruption("wal record checksum mismatch");
+    len = 12 + static_cast<size_t>(payload_len);
+    return Status::ok();
+}
+
+Status
+decodeWalRecord(BytesView data, size_t &pos, WriteBatch &batch,
+                uint64_t &first_seq)
+{
+    size_t len = 0;
+    Status s = peekWalRecord(data, pos, len);
+    if (!s.isOk())
+        return s;
+    BytesView payload = data.substr(pos + 12, len - 12);
+    if (!decodePayload(payload, batch, first_seq))
+        return Status::corruption("wal record payload malformed");
+    pos += len;
+    return Status::ok();
+}
+
+Status
+replayRecordFile(const std::string &path, const RecordCallback &cb,
+                 Env *env)
+{
+    if (!env->fileExists(path))
+        return Status::ok(); // nothing written yet
+    Bytes data;
+    Status s = env->readFileToString(path, data);
+    if (s.isOk())
+        replayRecords(data, 0, cb);
+    return s;
+}
 
 ReplicationLog::ReplicationLog(const ReplLogOptions &options)
     : options_(options),
@@ -51,7 +192,10 @@ ReplicationLog::~ReplicationLog()
 std::string
 ReplicationLog::segmentPath(uint64_t index) const
 {
-    return options_.dir + "/" + segmentName(index);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "-%06llu.log",
+                  static_cast<unsigned long long>(index));
+    return options_.dir + "/" + options_.stem + buf;
 }
 
 Result<std::unique_ptr<ReplicationLog>>
@@ -128,6 +272,7 @@ ReplicationLog::open(const ReplLogOptions &options)
                                     &salvaged);
             if (!s.isOk())
                 return s;
+            log->quarantined_bytes_ += salvaged;
             s = env->removeFile(path);
             if (!s.isOk())
                 return s;
@@ -137,20 +282,14 @@ ReplicationLog::open(const ReplLogOptions &options)
         s = env->readFileToString(path, data);
         if (!s.isOk())
             return s;
-        size_t pos = 0;
         uint64_t seg_last_seq = log->last_seq_;
         uint64_t seg_records = 0;
-        for (;;) {
-            WriteBatch batch;
-            uint64_t first_seq = 0;
-            Status rec =
-                decodeWalRecord(data, pos, batch, first_seq);
-            if (!rec.isOk())
-                break; // clean EOF, torn tail, or corruption
-            if (batch.size() > 0)
-                seg_last_seq = first_seq + batch.size() - 1;
-            ++seg_records;
-        }
+        const size_t pos = replayRecords(
+            data, 0, [&](const WriteBatch &batch, uint64_t first_seq) {
+                if (batch.size() > 0)
+                    seg_last_seq = first_seq + batch.size() - 1;
+                ++seg_records;
+            });
         if (pos < data.size()) {
             // Torn or corrupt tail: quarantine the bad bytes and
             // drop every later segment from the stream.
@@ -159,6 +298,7 @@ ReplicationLog::open(const ReplLogOptions &options)
                                     &salvaged);
             if (!s.isOk())
                 return s;
+            log->quarantined_bytes_ += salvaged;
             truncated_stream = true;
         }
         log->segments_.push_back(
@@ -177,12 +317,12 @@ ReplicationLog::open(const ReplLogOptions &options)
     s = log->openActiveLocked();
     if (!s.isOk())
         return s;
+    // Pin the active segment's directory entry: fdatasync on the
+    // file alone leaves a freshly created segment unreachable after
+    // power loss.
+    log->dir_unsynced_ = true;
     if (options.sync_appends) {
-        // Pin the active segment's directory entry: fdatasync on
-        // the file alone leaves a freshly created segment
-        // unreachable after power loss (the engine WAL does the
-        // same dance in log_store.cc).
-        s = env->syncDir(options.dir);
+        s = log->syncLocked();
         if (!s.isOk())
             return s;
     }
@@ -192,16 +332,8 @@ ReplicationLog::open(const ReplLogOptions &options)
 Status
 ReplicationLog::openActiveLocked()
 {
-    const ReplSegment &last = segments_.back();
-    const std::string path = segmentPath(last.index);
-    active_buf_.clear();
-    if (last.length > 0) {
-        Status s = env_->readFileToString(path, active_buf_);
-        if (!s.isOk())
-            return s;
-        ETHKV_DCHECK(active_buf_.size() == last.length);
-    }
-    auto file = env_->newAppendableFile(path);
+    auto file =
+        env_->newAppendableFile(segmentPath(segments_.back().index));
     if (!file.ok())
         return file.status();
     active_ = file.take();
@@ -211,16 +343,30 @@ ReplicationLog::openActiveLocked()
 Status
 ReplicationLog::rotateIfNeededLocked()
 {
+    if (active_ && segments_.back().length < options_.segment_bytes)
+        return Status::ok();
+    Status s = rotateLocked();
+    if (!s.isOk())
+        return s;
+    ETHKV_IGNORE_STATUS(retainLocked(),
+                        "the segments stay readable; the next "
+                        "rotation retries the truncation");
+    return Status::ok();
+}
+
+Status
+ReplicationLog::rotateLocked()
+{
     if (!active_)
         return Status::ioError("repl log: failed reset left no "
                                "active segment");
     ReplSegment &last = segments_.back();
-    if (last.length < options_.segment_bytes)
-        return Status::ok();
     if (options_.sync_appends) {
         Status s = active_->sync();
         if (!s.isOk())
             return s;
+    } else {
+        unsynced_sealed_.push_back(last.index);
     }
     Status s = active_->close();
     if (!s.isOk())
@@ -230,18 +376,16 @@ ReplicationLog::rotateIfNeededLocked()
     if (!file.ok())
         return file.status();
     active_ = file.take();
-    active_buf_.clear();
     segments_.push_back(ReplSegment{next, end_offset_, 0, last_seq_});
+    // Persist the new directory entry (now, or at the next sync())
+    // so the segment chain survives power loss without a hole.
+    dir_unsynced_ = true;
     if (options_.sync_appends) {
-        // Persist the new directory entry so the segment chain
-        // survives power loss without a hole.
-        Status dir_s = env_->syncDir(options_.dir);
-        if (!dir_s.isOk())
-            return dir_s;
+        s = env_->syncDir(options_.dir);
+        if (!s.isOk())
+            return s;
+        dir_unsynced_ = false;
     }
-    ETHKV_IGNORE_STATUS(retainLocked(),
-                        "the segments stay readable; the next "
-                        "rotation retries the truncation");
     return Status::ok();
 }
 
@@ -249,12 +393,12 @@ Status
 ReplicationLog::retainLocked()
 {
     // Sealed segments are all but the last; keep the newest
-    // kRetainedSealedSegments of them whatever the pin says.
-    const uint64_t pin =
-        retention_pin_.load(std::memory_order_acquire);
+    // keep_sealed of them whatever the pin says.
+    const uint64_t pin = retention_pin_.load(std::memory_order_acquire);
+    const uint64_t keep = keep_sealed_.load(std::memory_order_acquire);
     const size_t sealed = segments_.size() - 1;
     size_t drop = 0;
-    while (drop + kRetainedSealedSegments < sealed &&
+    while (drop + keep < sealed &&
            segments_[drop].start_offset + segments_[drop].length <=
                pin)
         ++drop;
@@ -273,6 +417,8 @@ ReplicationLog::retainLocked()
     segments_.erase(segments_.begin(),
                     segments_.begin() + static_cast<long>(drop));
     start_offset_ = first.start_offset;
+    std::erase_if(unsynced_sealed_,
+                  [&](uint64_t index) { return index < first.index; });
     for (const ReplSegment &seg : dropped) {
         Status u = env_->removeFile(segmentPath(seg.index));
         if (!u.isOk())
@@ -292,18 +438,22 @@ ReplicationLog::writeStartLocked(uint64_t first_index,
                   "%s %" PRIu64 " %" PRIu64 " %" PRIu64 " %d\n",
                   kStartTag, first_index, start_offset, last_seq,
                   snapshot_pending ? 1 : 0);
+    // Always synced, then the directory: the segments below the
+    // marker are unlinked next, and a rename that reached the disk
+    // ahead of the marker's bytes would leave a log that does not
+    // open, or one that reopens empty.
     const std::string marker = options_.dir + "/" + kStartMarker;
     const std::string tmp = marker + ".tmp";
-    Status s =
-        env_->writeStringToFile(tmp, text, options_.sync_appends);
+    Status s = env_->writeStringToFile(tmp, text, true);
+    if (s.isOk())
+        s = env_->renameFile(tmp, marker);
     if (!s.isOk())
         return s;
-    s = env_->renameFile(tmp, marker);
-    if (!s.isOk())
-        return s;
-    if (options_.sync_appends)
-        return env_->syncDir(options_.dir);
-    return Status::ok();
+    dir_unsynced_ = true;
+    s = env_->syncDir(options_.dir);
+    if (s.isOk())
+        dir_unsynced_ = false;
+    return s;
 }
 
 Status
@@ -327,6 +477,7 @@ ReplicationLog::reset(uint64_t start_offset, uint64_t last_seq,
     }
     segments_.assign(
         1, ReplSegment{next, start_offset, 0, last_seq});
+    unsynced_sealed_.clear();
     start_offset_ = start_offset;
     end_offset_ = start_offset;
     last_seq_ = last_seq;
@@ -334,8 +485,9 @@ ReplicationLog::reset(uint64_t start_offset, uint64_t last_seq,
     s = openActiveLocked();
     if (!s.isOk())
         return s;
+    dir_unsynced_ = true;
     if (options_.sync_appends)
-        return env_->syncDir(options_.dir);
+        return syncLocked();
     return Status::ok();
 }
 
@@ -354,7 +506,6 @@ ReplicationLog::appendRecordLocked(BytesView record,
         if (!s.isOk())
             return s;
     }
-    active_buf_.append(record);
     segments_.back().length += record.size();
     end_offset_ += record.size();
     if (last_seq > 0) {
@@ -449,53 +600,39 @@ ReplicationLog::read(uint64_t offset, size_t max_bytes, Bytes &out)
         if (!seg)
             break; // only zero-length tail segments remain
         const uint64_t rel = offset - seg->start_offset;
-        const bool is_active = seg == &segments_.back();
-
-        Bytes sealed;
-        BytesView view;
-        if (is_active) {
-            view = BytesView(active_buf_).substr(rel);
-        } else {
-            uint64_t want = std::min<uint64_t>(
-                seg->length - rel,
-                max_bytes - appended + kReadSlack);
-            auto file =
-                env_->newRandomAccessFile(segmentPath(seg->index));
-            if (!file.ok())
-                return file.status();
-            Status s =
-                file.value()->read(rel, want, sealed);
+        uint64_t want = std::min<uint64_t>(
+            seg->length - rel, max_bytes - appended + kReadSlack);
+        auto file = env_->newRandomAccessFile(segmentPath(seg->index));
+        if (!file.ok())
+            return file.status();
+        Bytes window;
+        Status s = file.value()->read(rel, want, window);
+        if (!s.isOk())
+            return s;
+        // The window may be smaller than the one record at offset;
+        // retry with the segment remainder so the caller always
+        // makes progress.
+        size_t probe_len = 0;
+        if (peekWalRecord(window, 0, probe_len).code() ==
+                StatusCode::NotFound &&
+            want < seg->length - rel) {
+            window.clear();
+            s = file.value()->read(rel, seg->length - rel, window);
             if (!s.isOk())
                 return s;
-            view = sealed;
-            // The window may be smaller than the one record at
-            // offset; retry with the segment remainder so the
-            // caller always makes progress.
-            size_t probe_len = 0;
-            Status probe = peekWalRecord(view, 0, probe_len);
-            if (probe.code() == StatusCode::NotFound &&
-                want < seg->length - rel) {
-                sealed.clear();
-                s = file.value()->read(rel, seg->length - rel,
-                                       sealed);
-                if (!s.isOk())
-                    return s;
-                view = sealed;
-            }
         }
+        const BytesView view = window;
 
-        // After the retry above, a sealed-segment view always
-        // covers the record at `offset` whole; the active view
-        // covers to the validated end. So NotFound at the window
-        // start cannot mean "short window" — the offset points
-        // into the middle of a record.
-        const bool covers_tail =
-            is_active || rel + view.size() == seg->length;
+        // After the retry above, the view always covers the record
+        // at `offset` whole. So NotFound at the window start cannot
+        // mean "short window" — the offset points into the middle
+        // of a record.
+        const bool covers_tail = rel + view.size() == seg->length;
         size_t pos = 0;
         while (pos < view.size()) {
             size_t len = 0;
-            Status s = peekWalRecord(view, pos, len);
-            if (s.code() == StatusCode::NotFound) {
+            Status st = peekWalRecord(view, pos, len);
+            if (st.code() == StatusCode::NotFound) {
                 if (pos == 0 && covers_tail)
                     return Status::invalidArgument(
                         "repl read offset " +
@@ -503,13 +640,13 @@ ReplicationLog::read(uint64_t offset, size_t max_bytes, Bytes &out)
                         " is not a record boundary");
                 break; // window ends mid-record
             }
-            if (!s.isOk()) {
+            if (!st.isOk()) {
                 if (appended == 0 && pos == 0)
                     return Status::invalidArgument(
                         "repl read offset " +
                         std::to_string(offset) +
                         " is not a record boundary");
-                return s;
+                return st;
             }
             if (appended + pos > 0 &&
                 appended + pos + len > max_bytes)
@@ -539,10 +676,55 @@ ReplicationLog::startOffset() const
     return start_offset_;
 }
 
-void
-ReplicationLog::setRetentionPin(uint64_t offset)
+Status
+ReplicationLog::replay(uint64_t from, const RecordCallback &cb)
 {
+    MutexLock lock(mutex_);
+    if (from < start_offset_ || from > end_offset_)
+        return Status::invalidArgument(
+            "replay offset " + std::to_string(from) +
+            " outside the log [" + std::to_string(start_offset_) +
+            ", " + std::to_string(end_offset_) + "]");
+    for (const ReplSegment &seg : segments_) {
+        if (seg.start_offset + seg.length <= from)
+            continue;
+        Bytes data;
+        Status s = env_->readFileToString(segmentPath(seg.index), data);
+        if (!s.isOk())
+            return s;
+        // open() validated every byte below the end, so the replay
+        // stops exactly at the segment's validated length.
+        const size_t begin =
+            from > seg.start_offset ? from - seg.start_offset : 0;
+        data.resize(seg.length);
+        if (replayRecords(data, begin, cb) != seg.length)
+            return Status::corruption(
+                "replay offset " + std::to_string(from) +
+                " is not a record boundary");
+    }
+    return Status::ok();
+}
+
+Status
+ReplicationLog::trimTo(uint64_t offset)
+{
+    MutexLock lock(mutex_);
     retention_pin_.store(offset, std::memory_order_release);
+    if (offset >= end_offset_ && segments_.back().length > 0) {
+        // Nothing left is needed: seal the active segment so it can
+        // go too.
+        Status s = rotateLocked();
+        if (!s.isOk())
+            return s;
+    }
+    return retainLocked();
+}
+
+void
+ReplicationLog::setRetention(uint64_t pin, uint64_t keep_sealed)
+{
+    keep_sealed_.store(keep_sealed, std::memory_order_release);
+    retention_pin_.store(pin, std::memory_order_release);
 }
 
 bool
@@ -570,10 +752,42 @@ Status
 ReplicationLog::sync()
 {
     MutexLock lock(mutex_);
+    return syncLocked();
+}
+
+Status
+ReplicationLog::syncLocked()
+{
     if (!active_)
         return Status::ioError("repl log: failed reset left no "
                                "active segment");
-    return active_->sync();
+    for (uint64_t index : unsynced_sealed_) {
+        if (index < segments_.front().index)
+            continue; // retention dropped it
+        auto file = env_->newAppendableFile(segmentPath(index));
+        if (!file.ok())
+            return file.status();
+        Status s = file.value()->sync();
+        if (s.isOk())
+            s = file.value()->close();
+        if (!s.isOk())
+            return s;
+    }
+    unsynced_sealed_.clear();
+    Status s = active_->sync();
+    if (!s.isOk() || !dir_unsynced_)
+        return s;
+    s = env_->syncDir(options_.dir);
+    if (s.isOk())
+        dir_unsynced_ = false;
+    return s;
+}
+
+uint64_t
+ReplicationLog::quarantinedBytes() const
+{
+    MutexLock lock(mutex_);
+    return quarantined_bytes_;
 }
 
 std::vector<ReplSegment>

@@ -166,11 +166,15 @@ parseFlags(int argc, char **argv, DaemonOptions &d)
     server::StackOptions &f = d.stack;
     server::ServerOptions &srv = f.server;
     server::ReplicationOptions &repl = f.replication;
-    for (int i = 1; i < argc; ++i) {
+    // A usage error: print it and the usage (main exits 2).
+    std::string bad;
+    for (int i = 1; i < argc && bad.empty(); ++i) {
         std::string arg = argv[i];
         auto next = [&](const char *what) -> const char * {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", what);
+            if (i + 1 >= argc) {
+                bad = std::string(what) + " needs a value";
+                return "";
+            }
             return argv[++i];
         };
         auto u64 = [&](const char *what) -> uint64_t {
@@ -233,9 +237,11 @@ parseFlags(int argc, char **argv, DaemonOptions &d)
             std::string hp = next("--follower-of");
             size_t colon = hp.rfind(':');
             if (colon == std::string::npos || colon == 0 ||
-                colon + 1 >= hp.size())
-                fatal("--follower-of wants host:port, got %s",
-                      hp.c_str());
+                colon + 1 >= hp.size()) {
+                if (bad.empty())
+                    bad = "--follower-of wants host:port, got " + hp;
+                continue;
+            }
             repl.primary_host = hp.substr(0, colon);
             repl.primary_port = static_cast<uint16_t>(
                 std::atoi(hp.c_str() + colon + 1));
@@ -266,13 +272,14 @@ parseFlags(int argc, char **argv, DaemonOptions &d)
             usage(argv[0]);
             return false;
         } else {
-            std::fprintf(stderr, "unknown flag: %s\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return false;
+            bad = "unknown flag: " + arg;
         }
     }
-    return true;
+    if (bad.empty())
+        return true;
+    std::fprintf(stderr, "ethkvd: %s\n", bad.c_str());
+    usage(argv[0]);
+    return false;
 }
 
 /** Write the trace log as Chrome trace JSON (tmp + rename). */

@@ -14,7 +14,6 @@
 #include <map>
 #include <utility>
 
-#include "kvstore/wal.hh"
 #include "server/net_socket.hh"
 #include "server/protocol.hh"
 #include "common/rand.hh"
@@ -40,6 +39,11 @@ constexpr uint64_t kBatchBytes = 256u << 10;
 /** Per-subscriber out-buffer cap: stop reading the log for a
  *  follower whose socket is this far behind. */
 constexpr uint64_t kSubscriberBacklogBytes = 4u << 20;
+/** Sealed segments the hub's log keeps whatever the pin says,
+ *  newest first: with the default 4 MiB segments, a 64 MiB window
+ *  a follower may lag by and still catch up from the log rather
+ *  than a snapshot. */
+constexpr uint64_t kRetainedSealedSegments = 16;
 
 } // namespace
 
@@ -604,6 +608,16 @@ class ReplicationSender
             appendFrame(s.out,
                         static_cast<uint8_t>(Opcode::ReplSnapshot),
                         s.next_id++, payload);
+            // A batch with no records tells the follower how far
+            // the log moved while the snapshot streamed, so its lag
+            // reads true before the first record arrives.
+            payload.clear();
+            encodeReplBatch(payload, s.next_offset,
+                            hub_.log_->endOffset(),
+                            hub_.log_->lastSeq(), BytesView());
+            appendFrame(s.out,
+                        static_cast<uint8_t>(Opcode::ReplBatch),
+                        s.next_id++, payload);
             s.snapshot = false;
             hub_.snapshots_sent_->inc();
         }
@@ -818,7 +832,8 @@ class ReplicationSender
     void
     updateGauges()
     {
-        hub_.log_->setRetentionPin(minAcked(true));
+        hub_.log_->setRetention(minAcked(true),
+                                kRetainedSealedSegments);
         hub_.subscribers_->set(
             static_cast<int64_t>(subs_.size()));
         if (subs_.empty()) {
@@ -1168,9 +1183,10 @@ class FollowerClient
         }
         if (!done)
             return true;
+        // The lag is set by the batch that follows: the primary's
+        // end from the handshake is stale by now.
         snapshot_ = false;
         hub_.snapshots_applied_->inc();
-        updateLag();
         return sendAck();
     }
 
@@ -1326,6 +1342,8 @@ ReplicationHub::open(const ReplicationOptions &options)
     if (!log.ok())
         return log.status();
     hub->log_ = std::move(log.value());
+    // No follower holds anything yet; the window alone retains.
+    hub->log_->setRetention(~0ull, kRetainedSealedSegments);
     if (!options.primary_host.empty())
         hub->role_.store(ReplRole::Follower,
                          std::memory_order_release);

@@ -29,8 +29,10 @@
  *    if replay hits an IOError (a follower applying a partial
  *    stream is worse than one that stopped).
  *  - Retention: the sender pins the log at the lowest offset a
- *    connected follower has not acked; the log drops sealed
- *    segments below that pin and outside its newest window. A
+ *    connected follower has not acked, and the hub keeps a window
+ *    of the newest kRetainedSealedSegments sealed segments; the
+ *    log drops sealed segments below the pin and outside the
+ *    window. A
  *    follower whose offset was dropped catches up from a snapshot
  *    instead: the primary notes A = its log end, streams the
  *    engine's merged scan as put records, then streams the log

@@ -56,6 +56,13 @@ refusal(const StackOptions &o)
     return "";
 }
 
+/** A set-up error from the filesystem, naming the flag behind it. */
+Status
+flagError(const std::string &flag, const Status &s)
+{
+    return Status::invalidArgument(flag + ": " + s.toString());
+}
+
 /** Open one engine instance rooted at `dir` into `out`. */
 Status
 openEngine(const StackOptions &o, Env *env, const std::string &dir,
@@ -110,9 +117,11 @@ Stack::build(StackOptions options)
     }
     if (!o.dir.empty()) {
         Status s = env->createDirs(o.dir);
+        if (!s.isOk())
+            return flagError("--dir", s);
         // Reopening a dir with a different shard count would
         // silently misroute every key; the marker refuses.
-        if (s.isOk() && o.shards > 1)
+        if (o.shards > 1)
             s = kv::ShardedKVStore::checkShardMarker(
                 env, o.dir, static_cast<uint32_t>(o.shards));
         if (!s.isOk())
@@ -130,13 +139,13 @@ Stack::build(StackOptions options)
             dir += "/shard-" + std::to_string(i);
             Status s = env->createDirs(dir);
             if (!s.isOk())
-                return s;
+                return flagError("--dir", s);
         }
         Status s = openEngine(o, env, dir,
                               i == 0 ? o.server.trace_log : nullptr,
                               shards.emplace_back());
         if (!s.isOk())
-            return s;
+            return flagError("--dir", s);
     }
     // lsm and hybrid lock internally (the LSM also runs its own
     // maintenance thread, so serving it bare keeps workers from
@@ -173,7 +182,8 @@ Stack::build(StackOptions options)
         r.env = node->fault_env_.get(); // null = Posix
         auto hub = ReplicationHub::open(r);
         if (!hub.ok())
-            return hub.status();
+            return flagError(o.repl ? "--repl" : "--follower-of",
+                             hub.status());
         node->hub_ = hub.take();
         serve = &node->hub_->wrap(*serve);
     }
@@ -192,7 +202,7 @@ Stack::build(StackOptions options)
                 Status s = node->prefetcher_->loadTable(
                     Env::defaultEnv(), o.corr_table);
                 if (!s.isOk())
-                    return s;
+                    return flagError("--corr-table", s);
             }
             node->cache_tier_->setPrefetcher(
                 node->prefetcher_.get());

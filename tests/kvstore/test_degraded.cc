@@ -127,7 +127,7 @@ TEST(LsmDegradedTest, TornWalTailQuarantinedOnReopen)
     }
 
     // A crash mid-append leaves a torn record at the WAL tail.
-    std::string wal = dir.path() + "/wal.log";
+    std::string wal = dir.path() + "/wal/wal-000001.log";
     auto valid = env->fileSize(wal);
     ASSERT_TRUE(valid.ok());
     Bytes torn = "\xff\xff\xff\xff" "byte-soup-from-a-torn-append";
@@ -143,7 +143,8 @@ TEST(LsmDegradedTest, TornWalTailQuarantinedOnReopen)
     EXPECT_EQ(store.value()->quarantinedBytes(), torn.size());
 
     // The tail went to quarantine/ byte for byte; nothing deleted.
-    std::string tail_path = dir.path() + "/quarantine/wal.log." +
+    std::string tail_path = dir.path() +
+                            "/wal/quarantine/wal-000001.log." +
                             std::to_string(valid.value()) + ".tail";
     Bytes salvaged;
     ASSERT_TRUE(env->readFileToString(tail_path, salvaged).isOk());
@@ -240,7 +241,7 @@ TEST(LogStoreDegradedTest, TornLogTailQuarantinedOnReopen)
         ASSERT_TRUE(store.value()->flush().isOk());
     }
 
-    std::string log = dir.path() + "/log.wal";
+    std::string log = dir.path() + "/wal/wal-000001.log";
     Bytes torn = "torn!";
     {
         auto file = env->newAppendableFile(log);

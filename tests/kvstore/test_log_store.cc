@@ -235,6 +235,24 @@ TEST(LogStoreCheckpointTest, ReplayAfterCheckpoint)
     EXPECT_EQ(v, makeValue(230, 48));
 }
 
+TEST(LogStoreCheckpointTest, RefusesTheOldLogWalLayout)
+{
+    // A store of the old layout kept every write in <dir>/log.wal;
+    // opening it empty would silently drop them all.
+    ScratchDir dir("log_old_layout");
+    const std::string old_wal = dir.path() + "/log.wal";
+    ASSERT_TRUE(Env::defaultEnv()
+                    ->writeStringToFile(old_wal, "not replayed", false)
+                    .isOk());
+    LogStoreOptions opts;
+    opts.dir = dir.path();
+    auto store = AppendLogStore::open(opts);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::NotSupported)
+        << store.status().toString();
+    EXPECT_TRUE(Env::defaultEnv()->fileExists(old_wal));
+}
+
 TEST(LogStoreCheckpointTest, AutoCheckpointBoundsWalGrowth)
 {
     ScratchDir dir("log_auto_ckpt");
@@ -291,12 +309,13 @@ TEST(LogStoreCheckpointTest, StaleTmpSnapshotIgnoredOnRecovery)
 TEST(LogStoreCheckpointTest, WalReplayOverSnapshotIsIdempotent)
 {
     // Crash window 2: power loss after the snapshot rename but
-    // before the WAL truncate — the snapshot already contains the
+    // before the WAL reset — the snapshot already contains the
     // WAL's final state AND the WAL still holds every record.
-    // Reconstruct that exact disk state by saving the WAL bytes
-    // and restoring them after checkpoint() truncates.
+    // Reconstruct that exact disk state by saving the WAL's
+    // directory and restoring it after checkpoint() resets the log.
     ScratchDir dir("log_ckpt_idem");
-    std::string wal_path = dir.path() + "/log.wal";
+    const std::string wal_dir = dir.path() + "/wal";
+    const std::string saved = dir.path() + "/wal.saved";
     {
         auto store = openDurable(dir.path());
         ASSERT_TRUE(store);
@@ -306,19 +325,14 @@ TEST(LogStoreCheckpointTest, WalReplayOverSnapshotIsIdempotent)
         for (uint64_t i = 0; i < 20; ++i)
             ASSERT_TRUE(store->del(makeKey(i)).isOk());
 
-        std::ifstream in(wal_path, std::ios::binary);
-        std::string wal_bytes(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
-        in.close();
-        ASSERT_FALSE(wal_bytes.empty());
-
+        std::filesystem::copy(
+            wal_dir, saved, std::filesystem::copy_options::recursive);
         ASSERT_TRUE(store->checkpoint().isOk());
         // Close before the file surgery below.
         store.reset();
 
-        std::ofstream out(wal_path, std::ios::binary);
-        out << wal_bytes;
+        std::filesystem::remove_all(wal_dir);
+        std::filesystem::rename(saved, wal_dir);
     }
     auto store = openDurable(dir.path());
     ASSERT_TRUE(store);

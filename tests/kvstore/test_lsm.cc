@@ -1,19 +1,22 @@
 /**
  * @file
  * LSM store tests: CRUD, flush/compaction behaviour, scans across
- * levels, WAL crash recovery, reopen persistence, tombstone
- * lifecycle, the compaction picker, and GET-path read
- * attribution.
+ * levels, WAL crash recovery (including a crash in each window of a
+ * flush: table written but not committed, MANIFEST committed but
+ * log segments not dropped), a seal that does no I/O, the WAL's
+ * segment bound, reopen persistence, tombstone lifecycle, the
+ * compaction picker, and GET-path read attribution.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <thread>
 
+#include "common/fault_env.hh"
 #include "kvstore/lsm_store.hh"
-#include "kvstore/wal.hh"
 #include "obs/metrics.hh"
 #include "test_util.hh"
 
@@ -225,7 +228,7 @@ TEST(LsmTest, TornWalTailLosesOnlyTail)
             ASSERT_TRUE(store.value()->put(makeKey(i), "v").isOk());
     }
     // Simulate a crash that tears the last WAL record.
-    std::string wal = dir.path() + "/wal.log";
+    std::string wal = dir.path() + "/wal/wal-000001.log";
     auto size = std::filesystem::file_size(wal);
     std::filesystem::resize_file(wal, size - 2);
 
@@ -325,89 +328,276 @@ TEST(LsmTest, LevelFileCountsReflectStructure)
     EXPECT_LT(counts[0], 4u);
 }
 
-TEST(LsmTest, RecoversSealedWalSegments)
+bool
+endsWith(const std::string &s, const std::string &suffix)
 {
-    // Simulate a crash after a memtable was sealed (its WAL segment
-    // renamed to imm-<n>.wal and listed in the MANIFEST) but before
-    // the background flush turned it into an L0 table: recovery
-    // must flush the segment inline and drop the directive.
-    ScratchDir dir("lsm");
-    LSMOptions opts = smallOptions(dir.path());
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(),
+                     suffix) == 0;
+}
+
+/**
+ * A FaultInjectionEnv that counts the durability work one thread
+ * does (file and directory syncs, renames, MANIFEST writes) and can
+ * crash right before the first operation on a path ending in
+ * `crash_before`.
+ */
+class ProbeEnv : public FaultInjectionEnv
+{
+  public:
+    using FaultInjectionEnv::FaultInjectionEnv;
+
+    std::string crash_before; //!< Set before use; empty = never.
+    std::atomic<bool> crashed{false};
+    std::atomic<std::thread::id> watched{};
+    std::atomic<int> syncs{0};
+    std::atomic<int> renames{0};
+    std::atomic<int> manifest_writes{0};
+    std::atomic<int> tables{0}; //!< SSTables created, any thread.
+
+    Result<std::unique_ptr<WritableFile>>
+    newWritableFile(const std::string &path) override
+    {
+        if (endsWith(path, ".sst"))
+            ++tables;
+        if (isWatched() && endsWith(path, "/MANIFEST.tmp"))
+            ++manifest_writes;
+        return wrap(path, FaultInjectionEnv::newWritableFile(path));
+    }
+
+    Result<std::unique_ptr<WritableFile>>
+    newAppendableFile(const std::string &path) override
+    {
+        return wrap(path, FaultInjectionEnv::newAppendableFile(path));
+    }
+
+    Status
+    renameFile(const std::string &from, const std::string &to) override
+    {
+        maybeCrash(to);
+        if (isWatched())
+            ++renames;
+        return FaultInjectionEnv::renameFile(from, to);
+    }
+
+    Status
+    syncDir(const std::string &dir) override
+    {
+        if (isWatched())
+            ++syncs;
+        return FaultInjectionEnv::syncDir(dir);
+    }
+
+  private:
+    class CountingFile : public WritableFile
+    {
+      public:
+        CountingFile(ProbeEnv &env, std::unique_ptr<WritableFile> f)
+            : env_(env), f_(std::move(f))
+        {}
+        Status append(BytesView data) override
+        {
+            return f_->append(data);
+        }
+        Status flush() override { return f_->flush(); }
+        Status
+        sync() override
+        {
+            if (env_.isWatched())
+                ++env_.syncs;
+            return f_->sync();
+        }
+        Status close() override { return f_->close(); }
+
+      private:
+        ProbeEnv &env_;
+        std::unique_ptr<WritableFile> f_;
+    };
+
+    bool
+    isWatched() const
+    {
+        return watched.load() == std::this_thread::get_id();
+    }
+
+    void
+    maybeCrash(const std::string &path)
+    {
+        if (!crash_before.empty() && endsWith(path, crash_before) &&
+            !crashed.exchange(true))
+            simulateCrash();
+    }
+
+    Result<std::unique_ptr<WritableFile>>
+    wrap(const std::string &path,
+         Result<std::unique_ptr<WritableFile>> file)
+    {
+        maybeCrash(path);
+        if (!file.ok())
+            return file.status();
+        return std::unique_ptr<WritableFile>(
+            new CountingFile(*this, file.take()));
+    }
+};
+
+/**
+ * Write synced puts until `env` has crashed at its crash point,
+ * then reboot and reopen: every acknowledged write must be back.
+ */
+void
+expectSyncedWritesSurviveCrash(const std::string &dir, ProbeEnv &env)
+{
+    LSMOptions opts = smallOptions(dir);
+    opts.memtable_bytes = 4 << 10;
+    opts.sync_wal = true;
+    opts.env = &env;
+    uint64_t acked = 0;
     {
         auto store = LSMStore::open(opts);
         ASSERT_TRUE(store.ok());
-        for (uint64_t i = 0; i < 50; ++i)
-            ASSERT_TRUE(
-                store.value()->put(makeKey(i), makeValue(i)).isOk());
-        ASSERT_TRUE(store.value()->flush().isOk());
+        while (!env.crashed.load() && acked < 20000) {
+            if (!store.value()->put(makeKey(acked), makeValue(acked))
+                     .isOk())
+                break;
+            ++acked;
+        }
+        ASSERT_TRUE(env.crashed.load())
+            << "the crash point " << env.crash_before
+            << " was never reached";
+        // The crash may land mid-flush in the background: wait for
+        // the store to notice before tearing it down.
+        for (int i = 0; i < 1000 && !store.value()->isDegraded(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-
-    Env *env = Env::defaultEnv();
-    const std::string imm_path = dir.path() + "/imm-009000.wal";
-    {
-        auto wal = WriteAheadLog::open(imm_path, env);
-        ASSERT_TRUE(wal.ok());
-        WriteBatch batch;
-        for (uint64_t i = 100; i < 150; ++i)
-            batch.put(makeKey(i), makeValue(i));
-        batch.del(makeKey(0));
-        ASSERT_TRUE(wal.value()->append(batch, 1000000).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
-    }
-    Bytes manifest;
-    ASSERT_TRUE(
-        env->readFileToString(dir.path() + "/MANIFEST", manifest)
-            .isOk());
-    manifest += "wal 9000\n";
-    ASSERT_TRUE(env->writeStringToFile(dir.path() + "/MANIFEST",
-                                       manifest, /*sync=*/true)
-                    .isOk());
+    env.reactivate();
 
     auto store = LSMStore::open(opts);
-    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.ok()) << store.status().toString();
     EXPECT_TRUE(store.value()->checkInvariants().isOk());
-    // The segment was flushed to a table and deleted.
-    EXPECT_FALSE(env->fileExists(imm_path));
     Bytes v;
-    for (uint64_t i = 100; i < 150; ++i) {
+    for (uint64_t i = 0; i < acked; ++i) {
         ASSERT_TRUE(store.value()->get(makeKey(i), v).isOk()) << i;
         EXPECT_EQ(v, makeValue(i));
     }
-    // The delete recorded in the segment shadows the flushed put.
-    EXPECT_TRUE(store.value()->get(makeKey(0), v).isNotFound());
-    for (uint64_t i = 1; i < 50; ++i)
-        ASSERT_TRUE(store.value()->get(makeKey(i), v).isOk()) << i;
+    // Writes go on where the recovered log ends.
+    ASSERT_TRUE(store.value()->put("after", "crash").isOk());
+    ASSERT_TRUE(store.value()->flush().isOk());
+    ASSERT_TRUE(store.value()->get("after", v).isOk());
 }
 
-TEST(LsmTest, MissingSealedWalDirectiveIsSkipped)
+/** Number of WAL segment files in an LSM store's wal/ dir. */
+size_t
+walSegmentFiles(const std::string &dir)
 {
-    // Crash window between the MANIFEST listing a sealed segment
-    // and the wal.log rename: the directive names a missing file
-    // and the records are still in wal.log. Recovery must not fail.
-    ScratchDir dir("lsm");
-    LSMOptions opts = smallOptions(dir.path());
-    {
-        auto store = LSMStore::open(opts);
-        ASSERT_TRUE(store.ok());
-        ASSERT_TRUE(store.value()->put("live", "yes").isOk());
-        ASSERT_TRUE(store.value()->flush().isOk());
+    size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir + "/wal")) {
+        const std::string name = e.path().filename().string();
+        if (name.rfind("wal-", 0) == 0 && endsWith(name, ".log"))
+            ++n;
     }
-    Env *env = Env::defaultEnv();
-    Bytes manifest;
-    ASSERT_TRUE(
-        env->readFileToString(dir.path() + "/MANIFEST", manifest)
-            .isOk());
-    manifest += "wal 9001\n";
-    ASSERT_TRUE(env->writeStringToFile(dir.path() + "/MANIFEST",
-                                       manifest, /*sync=*/true)
-                    .isOk());
+    return n;
+}
 
+TEST(LsmTest, RecoversSealedWalSegments)
+{
+    // Crash after a flush wrote its L0 table, before the MANIFEST
+    // commit that would name it: the table is lost, and recovery
+    // must replay the flushed memtable's records from the sealed
+    // WAL segments that still hold them.
+    ScratchDir dir("lsm");
+    ProbeEnv env(Env::defaultEnv(), 11);
+    env.crash_before = "/MANIFEST";
+    expectSyncedWritesSurviveCrash(dir.path(), env);
+    EXPECT_GT(env.tables.load(), 0);
+}
+
+TEST(LsmTest, CrashBeforeLogDropKeepsSyncedWrites)
+{
+    // Crash after a flush committed its table and a new log_start,
+    // before the log dropped the segments below it: recovery
+    // replays from log_start and drops the stale segments.
+    ScratchDir dir("lsm");
+    ProbeEnv env(Env::defaultEnv(), 12);
+    env.crash_before = "/wal/START.tmp";
+    expectSyncedWritesSurviveCrash(dir.path(), env);
+    // The helper's last flush left nothing unflushed: one fresh
+    // segment remains.
+    EXPECT_EQ(walSegmentFiles(dir.path()), 1u);
+}
+
+TEST(LsmTest, SealWritesNothing)
+{
+    // A seal only queues the memtable: no sync, no rename, no
+    // MANIFEST write on the writer's thread. The first flush's
+    // table shows the seal has happened.
+    ScratchDir dir("lsm");
+    ProbeEnv env(Env::defaultEnv(), 13);
+    LSMOptions opts = smallOptions(dir.path());
+    opts.memtable_bytes = 64 << 10;
+    opts.env = &env;
     auto store = LSMStore::open(opts);
     ASSERT_TRUE(store.ok());
-    EXPECT_TRUE(store.value()->checkInvariants().isOk());
-    Bytes v;
-    ASSERT_TRUE(store.value()->get("live", v).isOk());
-    EXPECT_EQ(v, "yes");
+    env.watched = std::this_thread::get_id();
+    uint64_t i = 0;
+    for (; env.tables.load() == 0 && i < 100000; ++i)
+        ASSERT_TRUE(
+            store.value()->put(makeKey(i), makeValue(i, 8)).isOk());
+    ASSERT_GT(env.tables.load(), 0) << "no memtable was sealed";
+    EXPECT_EQ(env.syncs.load(), 0);
+    EXPECT_EQ(env.renames.load(), 0);
+    EXPECT_EQ(env.manifest_writes.load(), 0);
+}
+
+TEST(LsmTest, WalKeepsOnlyUnflushedSegments)
+{
+    ScratchDir dir("lsm");
+    LSMOptions opts = smallOptions(dir.path());
+    auto store = LSMStore::open(opts);
+    ASSERT_TRUE(store.ok());
+    const size_t bound =
+        static_cast<size_t>(opts.max_immutable_memtables) + 2;
+    for (uint64_t i = 0; i < 20000; ++i) {
+        ASSERT_TRUE(
+            store.value()->put(makeKey(i), makeValue(i)).isOk());
+        if (i % 97 == 0) {
+            ASSERT_LE(walSegmentFiles(dir.path()), bound) << i;
+        }
+    }
+    EXPECT_GT(store.value()->tableBytes(), 0u);
+    // With everything flushed, only a fresh segment remains.
+    ASSERT_TRUE(store.value()->flush().isOk());
+    EXPECT_EQ(walSegmentFiles(dir.path()), 1u);
+}
+
+TEST(LsmTest, RefusesV1Manifest)
+{
+    ScratchDir dir("lsm");
+    ASSERT_TRUE(Env::defaultEnv()
+                    ->writeStringToFile(dir.path() + "/MANIFEST",
+                                        "ethkv-manifest v1\n"
+                                        "next_file 2\nseq 0\n",
+                                        false)
+                    .isOk());
+    auto store = LSMStore::open(smallOptions(dir.path()));
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::NotSupported)
+        << store.status().toString();
+}
+
+TEST(LsmTest, RefusesV1WalWithoutManifest)
+{
+    // A v1 store that never flushed has no MANIFEST, only wal.log.
+    ScratchDir dir("lsm");
+    const std::string old_wal = dir.path() + "/wal.log";
+    ASSERT_TRUE(Env::defaultEnv()
+                    ->writeStringToFile(old_wal, "not replayed", false)
+                    .isOk());
+    auto store = LSMStore::open(smallOptions(dir.path()));
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::NotSupported)
+        << store.status().toString();
+    EXPECT_TRUE(Env::defaultEnv()->fileExists(old_wal));
 }
 
 TEST(LsmTest, QueueDepthGaugeSettlesAfterFlushBarrier)

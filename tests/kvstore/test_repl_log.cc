@@ -10,10 +10,10 @@
  * record boundary, misaligned offsets, torn tails in the last and
  * in sealed segments, and fault-injected crashes and read errors.
  * The retention tests pin what truncation may drop (whole sealed
- * segments below the pin and outside the newest
- * kRetainedSealedSegments), that reads below the start are a
- * distinct status, and that the START marker survives reopen,
- * reset, and a crash between its write and the unlinks.
+ * segments below the pin and outside the newest `keep_sealed`, as
+ * the hub and the engines set them), that reads below the start
+ * are a distinct status, and that the START marker survives
+ * reopen, reset, and a crash between its write and the unlinks.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "common/env.hh"
 #include "common/fault_env.hh"
 #include "kvstore/repl_log.hh"
-#include "kvstore/wal.hh"
 #include "test_util.hh"
 
 namespace ethkv::kv
@@ -35,6 +34,9 @@ namespace
 using testutil::ScratchDir;
 using testutil::makeKey;
 using testutil::makeValue;
+
+/** A sealed-segment window like the replication hub's. */
+constexpr uint64_t kWindow = 16;
 
 bool
 env_exists(const std::string &path)
@@ -441,6 +443,11 @@ TEST(ReplLog, ReadErrorSurfacesAsIOError)
     EXPECT_TRUE(s.code() == StatusCode::IOError ||
                 s.code() == StatusCode::IODegraded)
         << s.toString();
+    // The active segment too: no in-memory copy hides the disk.
+    const uint64_t active = log.value()->segments().back().start_offset;
+    out.clear();
+    s = log.value()->read(active, 1u << 20, out);
+    EXPECT_FALSE(s.isOk()) << "active segment read bypassed the Env";
     fault.setPermanentReadError(false);
     out.clear();
     EXPECT_TRUE(log.value()->read(0, 1u << 20, out).isOk());
@@ -473,12 +480,12 @@ TEST(ReplLog, RetentionDropsOnlyWholeSealedSegmentsBelowPin)
         boundaries.push_back(end);
     }
     const uint64_t pin = boundaries[8] + 1;
-    l.setRetentionPin(pin);
+    l.setRetention(pin, kWindow);
     for (uint64_t i = 9; i < 80; ++i)
         ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1).isOk());
 
     auto segs = l.segments();
-    ASSERT_GT(segs.size(), kRetainedSealedSegments + 1)
+    ASSERT_GT(segs.size(), kWindow + 1)
         << "the pin, not the window, must bound this truncation";
     EXPECT_GT(l.startOffset(), 0u);
     EXPECT_EQ(l.startOffset(), segs.front().start_offset);
@@ -501,11 +508,66 @@ TEST(ReplLog, RetentionDropsOnlyWholeSealedSegmentsBelowPin)
 
     // Unpinned: only the newest sealed window plus the active
     // segment remain once the next rotation runs retention.
-    l.setRetentionPin(~0ull);
+    l.setRetention(~0ull, kWindow);
     for (uint64_t i = 80; i < 90; ++i)
         ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1).isOk());
-    EXPECT_EQ(l.segments().size(), kRetainedSealedSegments + 1);
+    EXPECT_EQ(l.segments().size(), kWindow + 1);
     EXPECT_EQ(l.lastSeq(), 89 * 2 + 2);
+}
+
+TEST(ReplLog, FreshLogDropsNothingAndEngineTrimDropsAllBelow)
+{
+    ScratchDir dir("repl_retain_engine");
+    auto log = ReplicationLog::open(smallSegments(dir.path()));
+    ASSERT_TRUE(log.ok());
+    ReplicationLog &l = *log.value();
+    std::vector<uint64_t> boundaries{0};
+    for (uint64_t i = 0; i < 40; ++i) {
+        uint64_t end = 0;
+        ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1, &end).isOk());
+        boundaries.push_back(end);
+    }
+    // No pin set: every segment stays.
+    EXPECT_EQ(l.startOffset(), 0u);
+    EXPECT_TRUE(env_exists(segmentFile(dir.path(), 1)));
+    const size_t all = l.segments().size();
+    ASSERT_GT(all, 4u);
+
+    // A pin with no window: every sealed segment wholly below it
+    // goes at the next rotation, and nothing goes before.
+    const uint64_t log_start = boundaries[30];
+    l.setRetention(log_start, 0);
+    EXPECT_EQ(l.segments().size(), all);
+    for (uint64_t i = 40; i < 44; ++i)
+        ASSERT_TRUE(l.append(testBatch(i), i * 2 + 1).isOk());
+    auto segs = l.segments();
+    EXPECT_LT(segs.size(), all);
+    EXPECT_LE(segs.front().start_offset, log_start);
+    EXPECT_TRUE(segs.size() == 1 ||
+                segs.front().start_offset + segs.front().length >
+                    log_start);
+    EXPECT_FALSE(env_exists(segmentFile(dir.path(), 1)));
+
+    // Replay from log_start sees exactly the records past it.
+    uint64_t replayed = 0;
+    ASSERT_TRUE(l.replay(log_start,
+                         [&](const WriteBatch &, uint64_t seq) {
+                             EXPECT_EQ(seq, (30 + replayed) * 2 + 1);
+                             ++replayed;
+                         })
+                    .isOk());
+    EXPECT_EQ(replayed, 14u);
+    EXPECT_FALSE(l.replay(0, [](const WriteBatch &, uint64_t) {})
+                     .isOk());
+
+    // trimTo drops at once, and with nothing left to keep, the
+    // active segment goes too.
+    const uint64_t end = l.endOffset();
+    ASSERT_TRUE(l.trimTo(end).isOk());
+    ASSERT_EQ(l.segments().size(), 1u);
+    EXPECT_EQ(l.segments().front().length, 0u);
+    EXPECT_EQ(l.startOffset(), end);
+    EXPECT_EQ(l.endOffset(), end);
 }
 
 TEST(ReplLog, ReopenAfterTruncationKeepsStartAndEnd)
@@ -515,6 +577,7 @@ TEST(ReplLog, ReopenAfterTruncationKeepsStartAndEnd)
     {
         auto log = ReplicationLog::open(smallSegments(dir.path()));
         ASSERT_TRUE(log.ok());
+        log.value()->setRetention(~0ull, kWindow);
         for (uint64_t i = 0; i < 60; ++i)
             ASSERT_TRUE(
                 log.value()->append(testBatch(i), i * 2 + 1).isOk());
@@ -567,6 +630,7 @@ TEST(ReplLog, CrashBetweenStartMarkerAndUnlinks)
     {
         auto log = ReplicationLog::open(options);
         ASSERT_TRUE(log.ok());
+        log.value()->setRetention(~0ull, kWindow);
         fault.fail_removes = true;
         for (uint64_t i = 0; i < 60; ++i)
             ASSERT_TRUE(
@@ -576,7 +640,7 @@ TEST(ReplLog, CrashBetweenStartMarkerAndUnlinks)
         // unlink: the log starts past the dropped segments, whose
         // files are still on disk.
         auto segs = log.value()->segments();
-        ASSERT_EQ(segs.size(), kRetainedSealedSegments + 1);
+        ASSERT_EQ(segs.size(), kWindow + 1);
         want_start = log.value()->startOffset();
         EXPECT_EQ(want_start, segs.front().start_offset);
         EXPECT_GT(want_start, 0u);
@@ -601,6 +665,59 @@ TEST(ReplLog, CrashBetweenStartMarkerAndUnlinks)
             log.value()->read(want_start, 1u << 20, out).isOk());
         EXPECT_EQ(want_start + out.size(), want_end);
     }
+}
+
+/** Without sync_appends, an engine's trimTo() and reset() still
+ *  unlink segments: the START marker that moves past them must be
+ *  durable first, or a power cut leaves a log that does not open. */
+TEST(ReplLog, UnsyncedTrimAndResetSurviveACrash)
+{
+    ScratchDir dir("repl_unsynced_trim_crash");
+    FaultInjectionEnv fault(Env::defaultEnv(), /*seed=*/31);
+    ReplLogOptions options = smallSegments(dir.path(), &fault);
+    ASSERT_FALSE(options.sync_appends);
+
+    uint64_t want_start = 0, synced_end = 0;
+    {
+        auto log = ReplicationLog::open(options);
+        ASSERT_TRUE(log.ok());
+        std::vector<uint64_t> boundaries{0};
+        for (uint64_t i = 0; i < 30; ++i) {
+            uint64_t end = 0;
+            ASSERT_TRUE(log.value()
+                            ->append(testBatch(i), i * 2 + 1, &end)
+                            .isOk());
+            boundaries.push_back(end);
+            if (i == 19) {
+                ASSERT_TRUE(log.value()->sync().isOk());
+                synced_end = end;
+            }
+        }
+        ASSERT_TRUE(log.value()->trimTo(boundaries[15]).isOk());
+        want_start = log.value()->startOffset();
+        ASSERT_GT(want_start, 0u);
+        EXPECT_FALSE(env_exists(segmentFile(dir.path(), 1)));
+        fault.simulateCrash();
+    }
+    fault.reactivate();
+
+    uint64_t reset_at = 0;
+    {
+        auto log = ReplicationLog::open(options);
+        ASSERT_TRUE(log.ok()) << log.status().toString();
+        EXPECT_EQ(log.value()->startOffset(), want_start);
+        EXPECT_GE(log.value()->endOffset(), synced_end);
+        // A checkpoint's reset: every segment goes at once.
+        reset_at = log.value()->endOffset();
+        ASSERT_TRUE(log.value()->reset(reset_at, 59, false).isOk());
+        fault.simulateCrash();
+    }
+    fault.reactivate();
+
+    auto log = ReplicationLog::open(options);
+    ASSERT_TRUE(log.ok()) << log.status().toString();
+    EXPECT_EQ(log.value()->startOffset(), reset_at);
+    EXPECT_EQ(log.value()->endOffset(), reset_at);
 }
 
 TEST(ReplLog, ResetRestartsTheOffsetSpaceAndPersists)

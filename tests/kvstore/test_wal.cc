@@ -1,15 +1,18 @@
 /**
  * @file
- * WAL tests: append/replay round trip, torn-tail tolerance, corrupt
- * record detection, reset.
+ * Engine WAL tests: the one log (ReplicationLog) in the layout the
+ * LSM and log engines use (<dir>/wal-<n>.log): append/replay round
+ * trip, torn-tail tolerance, corrupt record detection, reset, and
+ * the record-file replay a log-engine snapshot goes through.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
-#include "kvstore/wal.hh"
+#include "kvstore/repl_log.hh"
 #include "test_util.hh"
 
 namespace ethkv::kv
@@ -29,72 +32,82 @@ sampleBatch(int tag)
     return batch;
 }
 
+std::unique_ptr<ReplicationLog>
+openWal(const std::string &dir)
+{
+    ReplLogOptions options;
+    options.dir = dir;
+    options.stem = "wal";
+    auto log = ReplicationLog::open(options);
+    log.status().expectOk("open wal");
+    return log.take();
+}
+
+/** Reopen the log in `dir` and replay it whole. */
+std::vector<std::pair<WriteBatch, uint64_t>>
+reopenAndReplay(const std::string &dir)
+{
+    auto log = openWal(dir);
+    std::vector<std::pair<WriteBatch, uint64_t>> out;
+    log->replay(log->startOffset(),
+                [&](const WriteBatch &b, uint64_t seq) {
+                    out.emplace_back(b, seq);
+                })
+        .expectOk("replay");
+    return out;
+}
+
 TEST(WalTest, AppendReplayRoundTrip)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
-        for (int i = 0; i < 10; ++i) {
-            ASSERT_TRUE(wal.value()
-                            ->append(sampleBatch(i), i * 100)
-                            .isOk());
-        }
-        ASSERT_TRUE(wal.value()->sync().isOk());
+        auto wal = openWal(dir.path());
+        for (int i = 0; i < 10; ++i)
+            ASSERT_TRUE(wal->append(sampleBatch(i), i * 100).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
     }
+    EXPECT_TRUE(std::filesystem::exists(dir.path() + "/wal-000001.log"));
 
-    std::vector<uint64_t> seqs;
-    std::vector<size_t> sizes;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &b, uint64_t seq) {
-                        seqs.push_back(seq);
-                        sizes.push_back(b.size());
-                    })
-                    .isOk());
-    ASSERT_EQ(seqs.size(), 10u);
+    auto records = reopenAndReplay(dir.path());
+    ASSERT_EQ(records.size(), 10u);
     for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(seqs[i], static_cast<uint64_t>(i * 100));
-        EXPECT_EQ(sizes[i], 2u);
+        EXPECT_EQ(records[i].second, static_cast<uint64_t>(i * 100));
+        EXPECT_EQ(records[i].first.size(), 2u);
     }
 }
 
 TEST(WalTest, ReplayPreservesEntryContent)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
+        auto wal = openWal(dir.path());
         WriteBatch batch;
         batch.put("alpha", Bytes(1000, 'x'));
         batch.del("beta");
         batch.put("", ""); // empty key and value are legal
-        ASSERT_TRUE(wal.value()->append(batch, 7).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
+        ASSERT_TRUE(wal->append(batch, 7).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
     }
-    int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(path, [&](const WriteBatch &b,
-                                                uint64_t) {
-        ++records;
-        ASSERT_EQ(b.size(), 3u);
-        EXPECT_EQ(b.entries()[0].op, BatchOp::Put);
-        EXPECT_EQ(b.entries()[0].key, "alpha");
-        EXPECT_EQ(b.entries()[0].value, Bytes(1000, 'x'));
-        EXPECT_EQ(b.entries()[1].op, BatchOp::Delete);
-        EXPECT_EQ(b.entries()[1].key, "beta");
-        EXPECT_EQ(b.entries()[2].key, "");
-    }).isOk());
-    EXPECT_EQ(records, 1);
+    auto records = reopenAndReplay(dir.path());
+    ASSERT_EQ(records.size(), 1u);
+    const WriteBatch &b = records[0].first;
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(records[0].second, 7u);
+    EXPECT_EQ(b.entries()[0].op, BatchOp::Put);
+    EXPECT_EQ(b.entries()[0].key, "alpha");
+    EXPECT_EQ(b.entries()[0].value, Bytes(1000, 'x'));
+    EXPECT_EQ(b.entries()[1].op, BatchOp::Delete);
+    EXPECT_EQ(b.entries()[1].key, "beta");
+    EXPECT_EQ(b.entries()[2].key, "");
 }
 
 TEST(WalTest, MissingFileReplaysNothing)
 {
     int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    "/nonexistent/ethkv/wal.log",
-                    [&](const WriteBatch &, uint64_t) { ++records; })
+    ASSERT_TRUE(replayRecordFile(
+                    "/nonexistent/ethkv/snapshot",
+                    [&](const WriteBatch &, uint64_t) { ++records; },
+                    Env::defaultEnv())
                     .isOk());
     EXPECT_EQ(records, 0);
 }
@@ -102,43 +115,34 @@ TEST(WalTest, MissingFileReplaysNothing)
 TEST(WalTest, TornTailStopsCleanly)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
+    uint64_t end = 0;
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
+        auto wal = openWal(dir.path());
         for (int i = 0; i < 5; ++i)
-            ASSERT_TRUE(
-                wal.value()->append(sampleBatch(i), i).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
+            ASSERT_TRUE(wal->append(sampleBatch(i), i).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
+        end = wal->endOffset();
     }
     // Chop bytes off the final record to simulate a crash mid-write.
-    auto size = std::filesystem::file_size(path);
-    std::filesystem::resize_file(path, size - 3);
+    const std::string path = dir.path() + "/wal-000001.log";
+    std::filesystem::resize_file(path, end - 3);
 
-    int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &, uint64_t) { ++records; })
-                    .isOk());
-    EXPECT_EQ(records, 4);
+    EXPECT_EQ(reopenAndReplay(dir.path()).size(), 4u);
 }
 
 TEST(WalTest, CorruptRecordStopsReplay)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
+        auto wal = openWal(dir.path());
         for (int i = 0; i < 3; ++i)
-            ASSERT_TRUE(
-                wal.value()->append(sampleBatch(i), i).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
+            ASSERT_TRUE(wal->append(sampleBatch(i), i).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
     }
     // Flip a byte inside the second record's payload.
+    const std::string path = dir.path() + "/wal-000001.log";
     std::fstream f(path,
                    std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(40);
     char c;
     f.seekg(40);
     f.get(c);
@@ -146,57 +150,43 @@ TEST(WalTest, CorruptRecordStopsReplay)
     f.put(static_cast<char>(c ^ 0xff));
     f.close();
 
-    int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &, uint64_t) { ++records; })
-                    .isOk());
-    EXPECT_LT(records, 3);
+    EXPECT_LT(reopenAndReplay(dir.path()).size(), 3u);
 }
 
 TEST(WalTest, ResetTruncates)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
-    auto wal = WriteAheadLog::open(path);
-    ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(wal.value()->append(sampleBatch(1), 1).isOk());
-    EXPECT_GT(wal.value()->sizeBytes(), 0u);
-    ASSERT_TRUE(wal.value()->reset().isOk());
-    EXPECT_EQ(wal.value()->sizeBytes(), 0u);
-    ASSERT_TRUE(wal.value()->append(sampleBatch(2), 2).isOk());
-    ASSERT_TRUE(wal.value()->sync().isOk());
-
-    int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &, uint64_t) { ++records; })
-                    .isOk());
-    EXPECT_EQ(records, 1);
+    {
+        auto wal = openWal(dir.path());
+        ASSERT_TRUE(wal->append(sampleBatch(1), 1).isOk());
+        const uint64_t end = wal->endOffset();
+        EXPECT_GT(end, 0u);
+        // A checkpoint's reset: empty, at the old end.
+        ASSERT_TRUE(wal->reset(end, wal->lastSeq(), false).isOk());
+        EXPECT_EQ(wal->startOffset(), end);
+        EXPECT_EQ(wal->endOffset(), end);
+        ASSERT_TRUE(wal->append(sampleBatch(2), 2).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
+    }
+    auto records = reopenAndReplay(dir.path());
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].second, 2u);
 }
 
 TEST(WalTest, AppendAfterReopenPreservesOldRecords)
 {
     ScratchDir dir("wal");
-    std::string path = dir.path() + "/wal.log";
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
-        ASSERT_TRUE(wal.value()->append(sampleBatch(1), 1).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
+        auto wal = openWal(dir.path());
+        ASSERT_TRUE(wal->append(sampleBatch(1), 1).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
     }
     {
-        auto wal = WriteAheadLog::open(path);
-        ASSERT_TRUE(wal.ok());
-        ASSERT_TRUE(wal.value()->append(sampleBatch(2), 2).isOk());
-        ASSERT_TRUE(wal.value()->sync().isOk());
+        auto wal = openWal(dir.path());
+        ASSERT_TRUE(wal->append(sampleBatch(2), 2).isOk());
+        ASSERT_TRUE(wal->sync().isOk());
     }
-    int records = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &, uint64_t) { ++records; })
-                    .isOk());
-    EXPECT_EQ(records, 2);
+    EXPECT_EQ(reopenAndReplay(dir.path()).size(), 2u);
 }
 
 } // namespace

@@ -1,23 +1,29 @@
 /**
  * @file
- * WAL torn-record property tests.
+ * WAL torn-record property tests, on the one log (ReplicationLog)
+ * in the engine layout (<dir>/wal-<n>.log).
  *
- * A crash can cut a WAL at ANY byte offset, so these tests check
- * replay at every seam: a real log is truncated at each byte of its
- * tail records (PosixEnv), and the same property is driven through
- * FaultInjectionEnv's pinned torn-tail crashes. In every case replay
- * must return exactly the batches whose records fit in the surviving
- * prefix, and report the intact byte count for tail salvage.
+ * A crash can cut a log at ANY byte offset, so these tests check
+ * recovery at every seam: a segmented log is truncated at each byte
+ * of its records (PosixEnv), including every seam between two
+ * segments, and the same property is driven through
+ * FaultInjectionEnv's pinned torn-tail crashes. In every case the
+ * reopened log must end exactly at the last whole record, replay
+ * exactly the batches whose records fit in the surviving prefix,
+ * quarantine the rest, and take new appends where the prefix ends.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/env.hh"
 #include "common/fault_env.hh"
-#include "kvstore/wal.hh"
+#include "kvstore/repl_log.hh"
 #include "test_util.hh"
 
 namespace ethkv::kv
@@ -70,19 +76,48 @@ expectPrefix(const std::vector<std::pair<WriteBatch, uint64_t>> &got,
     }
 }
 
+using Replayed = std::vector<std::pair<WriteBatch, uint64_t>>;
+
+/** Small enough that the test batches span three segments. */
+constexpr uint64_t kSeamSegmentBytes = 300;
+
+std::unique_ptr<ReplicationLog>
+openWal(const std::string &dir, Env *env,
+        uint64_t segment_bytes = kSeamSegmentBytes)
+{
+    ReplLogOptions options;
+    options.dir = dir;
+    options.stem = "wal";
+    options.segment_bytes = segment_bytes;
+    options.env = env;
+    auto log = ReplicationLog::open(options);
+    log.status().expectOk("open wal");
+    return log.take();
+}
+
+Replayed
+replayAll(ReplicationLog &log)
+{
+    Replayed got;
+    log.replay(log.startOffset(),
+               [&](const WriteBatch &b, uint64_t seq) {
+                   got.emplace_back(b, seq);
+               })
+        .expectOk("replay");
+    return got;
+}
+
 /** Write the test batches, returning each record's end offset. */
 std::vector<uint64_t>
-writeTestLog(const std::string &path, Env *env)
+writeTestLog(ReplicationLog &wal)
 {
     std::vector<uint64_t> boundaries;
-    auto wal = WriteAheadLog::open(path, env);
-    EXPECT_TRUE(wal.ok());
     for (size_t i = 0; i < num_batches; ++i) {
-        EXPECT_TRUE(
-            wal.value()->append(testBatch(i), firstSeq(i)).isOk());
-        boundaries.push_back(wal.value()->sizeBytes());
+        uint64_t end = 0;
+        EXPECT_TRUE(wal.append(testBatch(i), firstSeq(i), &end).isOk());
+        boundaries.push_back(end);
     }
-    EXPECT_TRUE(wal.value()->sync().isOk());
+    EXPECT_TRUE(wal.sync().isOk());
     return boundaries;
 }
 
@@ -96,42 +131,79 @@ intactCount(const std::vector<uint64_t> &boundaries, uint64_t len)
     return n;
 }
 
+/** Recreate `full`'s segments in `dir` as a crash at global offset
+ *  len leaves them: later segments never created, the one holding
+ *  len cut there. */
+void
+writeTornCopy(const std::string &dir,
+              const std::vector<ReplSegment> &segments,
+              const std::vector<Bytes> &contents, uint64_t len)
+{
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    Env *env = Env::defaultEnv();
+    for (size_t i = 0; i < segments.size(); ++i) {
+        const ReplSegment &seg = segments[i];
+        if (seg.start_offset >= len && seg.start_offset > 0)
+            break;
+        const size_t keep = static_cast<size_t>(
+            std::min<uint64_t>(seg.length, len - seg.start_offset));
+        char name[32];
+        std::snprintf(name, sizeof name, "/wal-%06llu.log",
+                      static_cast<unsigned long long>(seg.index));
+        env->writeStringToFile(dir + name,
+                               BytesView(contents[i]).substr(0, keep),
+                               false)
+            .expectOk("write torn segment");
+    }
+}
+
 TEST(WalTornTest, ReplayAtEveryTruncationOffset)
 {
     ScratchDir dir("wal_torn");
     Env *env = Env::defaultEnv();
-    std::string full_path = dir.path() + "/full.log";
-    std::vector<uint64_t> boundaries = writeTestLog(full_path, env);
+    const std::string full_dir = dir.path() + "/full";
+    std::vector<uint64_t> boundaries;
+    std::vector<ReplSegment> segments;
+    std::vector<Bytes> contents;
+    {
+        auto full = openWal(full_dir, env);
+        boundaries = writeTestLog(*full);
+        segments = full->segments();
+    }
+    ASSERT_GE(segments.size(), 3u) << "the test wants seams";
+    uint64_t total = 0;
+    for (const ReplSegment &seg : segments) {
+        char name[32];
+        std::snprintf(name, sizeof name, "/wal-%06llu.log",
+                      static_cast<unsigned long long>(seg.index));
+        contents.emplace_back();
+        ASSERT_TRUE(
+            env->readFileToString(full_dir + name, contents.back())
+                .isOk());
+        total += contents.back().size();
+    }
+    ASSERT_EQ(total, boundaries.back());
 
-    Bytes full;
-    ASSERT_TRUE(env->readFileToString(full_path, full).isOk());
-    ASSERT_EQ(full.size(), boundaries.back());
-
-    std::string torn_path = dir.path() + "/torn.log";
-    for (uint64_t len = 0; len <= full.size(); ++len) {
-        ASSERT_TRUE(env->writeStringToFile(
-                           torn_path,
-                           BytesView(full).substr(
-                               0, static_cast<size_t>(len)),
-                           false)
-                        .isOk());
-
-        std::vector<std::pair<WriteBatch, uint64_t>> got;
-        uint64_t valid = ~0ull;
-        Status s = WriteAheadLog::replay(
-            torn_path,
-            [&](const WriteBatch &b, uint64_t seq) {
-                got.emplace_back(b, seq);
-            },
-            env, &valid);
-        ASSERT_TRUE(s.isOk()) << "len=" << len;
-
-        size_t count = intactCount(boundaries, len);
+    const std::string torn_dir = dir.path() + "/torn";
+    for (uint64_t len = 0; len <= total; ++len) {
         SCOPED_TRACE("truncated at byte " + std::to_string(len));
-        expectPrefix(got, count);
-        // The intact prefix ends exactly at the last whole record;
-        // everything past it is the caller's salvage candidate.
-        EXPECT_EQ(valid, count ? boundaries[count - 1] : 0u);
+        writeTornCopy(torn_dir, segments, contents, len);
+        const size_t count = intactCount(boundaries, len);
+        const uint64_t valid = count ? boundaries[count - 1] : 0;
+        {
+            auto torn = openWal(torn_dir, env);
+            // The log ends exactly at the last whole record;
+            // everything past it went to quarantine.
+            EXPECT_EQ(torn->endOffset(), valid);
+            EXPECT_EQ(torn->quarantinedBytes(), len - valid);
+            expectPrefix(replayAll(*torn), count);
+            // A new record lands where the intact prefix ends.
+            ASSERT_TRUE(torn->append(testBatch(count), firstSeq(count))
+                            .isOk());
+        }
+        auto reopened = openWal(torn_dir, env);
+        expectPrefix(replayAll(*reopened), count + 1);
     }
 }
 
@@ -139,44 +211,40 @@ TEST(WalTornTest, CorruptTailRecordStopsReplayCleanly)
 {
     ScratchDir dir("wal_torn");
     Env *env = Env::defaultEnv();
-    std::string path = dir.path() + "/full.log";
-    std::vector<uint64_t> boundaries = writeTestLog(path, env);
+    std::vector<uint64_t> boundaries;
+    ReplSegment last;
+    {
+        auto wal = openWal(dir.path(), env);
+        boundaries = writeTestLog(*wal);
+        last = wal->segments().back();
+    }
 
     // Flip one payload byte inside the last record: its checksum
-    // no longer matches, so replay must stop after batch 4 without
-    // reporting an error (crash-tail semantics).
-    Bytes full;
-    ASSERT_TRUE(env->readFileToString(path, full).isOk());
-    size_t victim =
-        static_cast<size_t>(boundaries[num_batches - 2]) + 14;
-    full[victim] ^= 0x5a;
-    ASSERT_TRUE(env->writeStringToFile(path, full, false).isOk());
+    // no longer matches, so recovery must stop after batch 4
+    // without reporting an error (crash-tail semantics).
+    const uint64_t victim = boundaries[num_batches - 2] + 14;
+    ASSERT_GE(victim, last.start_offset);
+    char name[32];
+    std::snprintf(name, sizeof name, "/wal-%06llu.log",
+                  static_cast<unsigned long long>(last.index));
+    const std::string path = dir.path() + name;
+    Bytes data;
+    ASSERT_TRUE(env->readFileToString(path, data).isOk());
+    data[static_cast<size_t>(victim - last.start_offset)] ^= 0x5a;
+    ASSERT_TRUE(env->writeStringToFile(path, data, false).isOk());
 
-    std::vector<std::pair<WriteBatch, uint64_t>> got;
-    uint64_t valid = 0;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    path,
-                    [&](const WriteBatch &b, uint64_t seq) {
-                        got.emplace_back(b, seq);
-                    },
-                    env, &valid)
-                    .isOk());
-    expectPrefix(got, num_batches - 1);
-    EXPECT_EQ(valid, boundaries[num_batches - 2]);
+    auto wal = openWal(dir.path(), env);
+    expectPrefix(replayAll(*wal), num_batches - 1);
+    EXPECT_EQ(wal->endOffset(), boundaries[num_batches - 2]);
 }
 
 TEST(WalTornTest, MissingLogReplaysEmpty)
 {
     ScratchDir dir("wal_torn");
-    size_t calls = 0;
-    uint64_t valid = 99;
-    ASSERT_TRUE(WriteAheadLog::replay(
-                    dir.path() + "/absent.log",
-                    [&](const WriteBatch &, uint64_t) { ++calls; },
-                    Env::defaultEnv(), &valid)
-                    .isOk());
-    EXPECT_EQ(calls, 0u);
-    EXPECT_EQ(valid, 0u);
+    auto wal = openWal(dir.path() + "/absent", Env::defaultEnv());
+    EXPECT_EQ(wal->endOffset(), 0u);
+    EXPECT_TRUE(replayAll(*wal).empty());
+    EXPECT_EQ(wal->quarantinedBytes(), 0u);
 }
 
 TEST(WalTornTest, FaultEnvCrashAtEveryTornTailLength)
@@ -184,30 +252,32 @@ TEST(WalTornTest, FaultEnvCrashAtEveryTornTailLength)
     // The same seam property, but the tear comes from the fault
     // env's crash model: batches 0-1 are synced (must survive),
     // batches 2-4 are in the "page cache" and crash-torn at every
-    // possible length.
+    // possible length. One segment, so the tear is the file's.
     ScratchDir dir("wal_torn");
     Env *base = Env::defaultEnv();
+    constexpr uint64_t kOneSegment = 1u << 20;
 
     // Probe the record boundaries once on the base env.
-    std::vector<uint64_t> boundaries =
-        writeTestLog(dir.path() + "/probe.log", base);
+    std::vector<uint64_t> boundaries;
+    {
+        auto probe = openWal(dir.path() + "/probe", base, kOneSegment);
+        boundaries = writeTestLog(*probe);
+    }
     uint64_t synced_len = boundaries[1];
     uint64_t unsynced_len = boundaries.back() - synced_len;
 
     for (uint64_t keep = 0; keep <= unsynced_len; ++keep) {
         FaultInjectionEnv fault(base, keep + 1);
-        std::string path = dir.path() + "/crash_" +
-                           std::to_string(keep) + ".log";
+        const std::string log_dir =
+            dir.path() + "/crash_" + std::to_string(keep);
         {
-            auto wal = WriteAheadLog::open(path, &fault);
-            ASSERT_TRUE(wal.ok());
-            ASSERT_TRUE(fault.syncDir(dir.path()).isOk());
+            auto wal = openWal(log_dir, &fault, kOneSegment);
+            ASSERT_TRUE(fault.syncDir(log_dir).isOk());
             for (size_t i = 0; i < num_batches; ++i) {
-                ASSERT_TRUE(wal.value()
-                                ->append(testBatch(i), firstSeq(i))
-                                .isOk());
+                ASSERT_TRUE(
+                    wal->append(testBatch(i), firstSeq(i)).isOk());
                 if (i == 1) {
-                    ASSERT_TRUE(wal.value()->sync().isOk());
+                    ASSERT_TRUE(wal->sync().isOk());
                 }
             }
         }
@@ -216,22 +286,13 @@ TEST(WalTornTest, FaultEnvCrashAtEveryTornTailLength)
         fault.simulateCrash();
         fault.reactivate();
 
-        std::vector<std::pair<WriteBatch, uint64_t>> got;
-        uint64_t valid = 0;
-        ASSERT_TRUE(WriteAheadLog::replay(
-                        path,
-                        [&](const WriteBatch &b, uint64_t seq) {
-                            got.emplace_back(b, seq);
-                        },
-                        &fault, &valid)
-                        .isOk());
-
+        auto wal = openWal(log_dir, &fault, kOneSegment);
         size_t count = intactCount(boundaries, synced_len + keep);
         SCOPED_TRACE("crash kept " + std::to_string(keep) +
                      " unsynced bytes");
         ASSERT_GE(count, 2u); // acked-synced batches never vanish
-        expectPrefix(got, count);
-        EXPECT_EQ(valid, boundaries[count - 1]);
+        expectPrefix(replayAll(*wal), count);
+        EXPECT_EQ(wal->endOffset(), boundaries[count - 1]);
     }
 }
 

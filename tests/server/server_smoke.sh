@@ -14,7 +14,9 @@
 #       log; "lsm" exercises kill -9 while background flushes and
 #       compactions are mid-flight), kill -9 the server mid-load,
 #       restart on the same directory, and verify that every
-#       acknowledged write survived (zero acked-synced data loss).
+#       acknowledged write survived (zero acked-synced data loss);
+#       then stop gracefully (exit 0), restart once more, verify
+#       again, and stop (exit 0).
 #
 #   server_smoke.sh trace <ethkvd> <bench_server_load> <scratch> \
 #       <ethkv_mon> <ethkv_trace_check>
@@ -62,9 +64,11 @@
 #       shard count out of range or not the one the data dir was
 #       made with, lsm or replication without --dir, --sync, --dir,
 #       --repl or --follower-of on a volatile engine, a missing or
-#       malformed --corr-table, a replication log that cannot open)
-#       prints its reason and the usage and exits 2, as an unknown
-#       flag does: no abort, no core file.
+#       malformed --corr-table, a replication log that cannot open,
+#       a flag without its value, a malformed --follower-of) prints
+#       its reason and the usage and exits 2, as an unknown flag
+#       does: no abort, no core file. Errors from the filesystem name
+#       the flag they came from.
 set -u
 
 MODE=$1
@@ -154,20 +158,27 @@ case "$MODE" in
     echo "server_smoke(crash): $ACKED writes acked before kill -9"
 
     # Restart on the same directory; recovery must surface every
-    # acked (therefore synced) write.
-    "$ETHKVD" --engine "$ENGINE" --dir "$SCRATCH/data" --sync \
-        ${EXTRA_FLAGS[@]+"${EXTRA_FLAGS[@]}"} \
-        --port 0 --port-file "$SCRATCH/port2" --workers 2 &
-    SERVER_PID=$!
-    wait_port_file "$SCRATCH/port2"
+    # acked (therefore synced) write. Then stop it gracefully and
+    # restart once more: the recovered state must itself recover,
+    # and each stop must exit 0.
+    for ROUND in 2 3; do
+        "$ETHKVD" --engine "$ENGINE" --dir "$SCRATCH/data" --sync \
+            ${EXTRA_FLAGS[@]+"${EXTRA_FLAGS[@]}"} \
+            --port 0 --port-file "$SCRATCH/port$ROUND" --workers 2 &
+        SERVER_PID=$!
+        wait_port_file "$SCRATCH/port$ROUND"
 
-    "$LOADGEN" --port-file "$SCRATCH/port2" --mode verify \
-        --acked-file "$SCRATCH/acked" \
-        || fail "acked-synced data lost across kill -9"
+        "$LOADGEN" --port-file "$SCRATCH/port$ROUND" --mode verify \
+            --acked-file "$SCRATCH/acked" \
+            || fail "acked-synced data lost (start $ROUND)"
 
-    kill -TERM "$SERVER_PID"
-    wait "$SERVER_PID"
-    SERVER_PID=""
+        kill -TERM "$SERVER_PID"
+        wait "$SERVER_PID"
+        RC=$?
+        SERVER_PID=""
+        [ "$RC" -eq 0 ] \
+            || fail "server exit code $RC after SIGTERM (start $ROUND)"
+    done
     ;;
 
   trace)
@@ -529,7 +540,7 @@ case "$MODE" in
     refused() { # <expected message> <flags...>
         WANT=$1
         shift
-        "$ETHKVD" "$@" --port 0 > out.txt 2>&1
+        "$ETHKVD" --port 0 "$@" > out.txt 2>&1
         RC=$?
         [ "$RC" -eq 2 ] || fail "ethkvd $* exited $RC, not 2"
         grep -qF -- "$WANT" out.txt \
@@ -553,8 +564,11 @@ case "$MODE" in
     refused "--repl $DURABLE" --engine hybrid --repl
     refused "--follower-of $DURABLE" --engine btree \
         --follower-of 127.0.0.1:1
-    refused "/nonexistent" --cache-tier-bytes 1048576 \
-        --corr-table /nonexistent
+    refused "--port needs a value" --port
+    refused "--follower-of wants host:port" --engine log --dir d \
+        --follower-of nocolon
+    refused "--corr-table: IOError: stat /nonexistent" \
+        --cache-tier-bytes 1048576 --corr-table /nonexistent
     refused "bad hex token" --cache-tier-bytes 1048576 \
         --corr-table bad_corr.txt
     refused "replfile/repl" --engine log --dir replfile --repl

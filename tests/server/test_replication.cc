@@ -322,6 +322,55 @@ TEST(Replication, FollowerBelowLogStartCatchesUpFromSnapshot)
         waitFor([&] { return follower.has("after", "snapshot"); }));
 }
 
+TEST(Replication, LagAfterSnapshotCountsWritesDuringIt)
+{
+    // A follower that caught up by snapshot must report how far
+    // the primary's log moved while the snapshot streamed. The
+    // primary's disk cannot be read, so no log record ever follows
+    // the snapshot: only the sender's word after the snapshot can
+    // tell the follower where the log now ends.
+    ScratchDir dir("repl_snapshot_lag");
+    StackOptions pc = nodeOptions(dir.path() + "/p");
+    pc.engine = "lsm";
+    pc.env = "fault";
+    pc.memtable_bytes = 64u << 20; // the snapshot scan reads no file
+    pc.replication.segment_bytes = 1024;
+    ReplNode primary(pc);
+    auto client = primary.connect();
+    ASSERT_TRUE(client);
+    // Far more log than the window: a new follower needs a
+    // snapshot, and a large one (~4 MiB) streams for a while.
+    constexpr uint64_t kKeys = 4000;
+    for (uint64_t i = 0; i < kKeys; ++i)
+        ASSERT_TRUE(
+            client->put(makeKey(i), makeValue(i, 1024)).isOk());
+    ASSERT_GT(primary.hub().log().startOffset(), 0u);
+    primary.faultEnv().setPermanentReadError(true);
+
+    StackOptions fc = followerOf(dir.path() + "/f", primary);
+    fc.engine = "lsm";
+    ReplNode follower(fc);
+    auto applied = [&] {
+        return follower.metrics()
+            .counter("repl.snapshots_applied")
+            .value();
+    };
+    for (uint64_t i = kKeys; applied() == 0 && i < 20 * kKeys; ++i)
+        ASSERT_TRUE(client->put(makeKey(i), "during").isOk());
+    ASSERT_EQ(applied(), 1u) << "the snapshot never finished";
+
+    // Nothing past the snapshot's base can ship, so the follower
+    // stays behind, and its lag must say so once it settles.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    primary.hub().refreshLogGauges();
+    follower.hub().refreshLogGauges();
+    EXPECT_LT(follower.gauge("repl.log_end_offset"),
+              primary.gauge("repl.log_end_offset"));
+    EXPECT_GT(follower.gauge("repl.lag_bytes"), 0u)
+        << "lag read from the handshake's stale primary end";
+    primary.faultEnv().setPermanentReadError(false);
+}
+
 TEST(Replication, FollowerReconnectsAndResumes)
 {
     ScratchDir dir("repl_reconnect");
