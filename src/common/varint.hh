@@ -9,6 +9,7 @@
 #ifndef ETHKV_COMMON_VARINT_HH
 #define ETHKV_COMMON_VARINT_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.hh"
@@ -25,6 +26,31 @@ appendVarint(Bytes &out, uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<char>(v));
+}
+
+/** Bytes appendVarint(out, v) appends. */
+inline size_t
+varintLength(uint64_t v)
+{
+    size_t n = 1;
+    while (v >= 0x80) {
+        v >>= 7;
+        ++n;
+    }
+    return n;
+}
+
+/** Write v as a varint at dst, which must have varintLength(v)
+ *  bytes; returns the byte just past it. */
+inline char *
+encodeVarint(char *dst, uint64_t v)
+{
+    while (v >= 0x80) {
+        *dst++ = static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+    }
+    *dst++ = static_cast<char>(v);
+    return dst;
 }
 
 /**

@@ -36,7 +36,7 @@ VectorIterator::next()
     ++pos_;
 }
 
-const InternalEntry &
+EntryView
 VectorIterator::entry() const
 {
     if (!valid())
@@ -102,7 +102,7 @@ MergingIterator::next()
     findCurrent();
 }
 
-const InternalEntry &
+EntryView
 MergingIterator::entry() const
 {
     if (!valid_)

@@ -39,8 +39,11 @@ class InternalIterator
     /** Advance to the next entry; requires valid(). */
     virtual void next() = 0;
 
-    /** The current entry; requires valid(). */
-    virtual const InternalEntry &entry() const = 0;
+    /**
+     * The current entry; requires valid(). Its views stay valid
+     * until the cursor moves (see EntryView for who owns them).
+     */
+    virtual EntryView entry() const = 0;
 };
 
 /**
@@ -59,7 +62,7 @@ class VectorIterator : public InternalIterator
     void seek(BytesView target) override;
     bool valid() const override;
     void next() override;
-    const InternalEntry &entry() const override;
+    EntryView entry() const override;
 
   private:
     std::vector<InternalEntry> entries_;
@@ -83,7 +86,7 @@ class MergingIterator : public InternalIterator
     void seek(BytesView target) override;
     bool valid() const override;
     void next() override;
-    const InternalEntry &entry() const override;
+    EntryView entry() const override;
 
   private:
     void findCurrent();

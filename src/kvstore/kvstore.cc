@@ -15,6 +15,22 @@ KVStore::apply(const WriteBatch &batch)
     return Status::ok();
 }
 
+Status
+KVStore::applyEntries(const WriteBatch &batch,
+                      const std::vector<uint32_t> &positions)
+{
+    WriteBatch part;
+    part.reserve(positions.size());
+    for (uint32_t i : positions) {
+        const BatchEntry &e = batch.entries()[i];
+        if (e.op == BatchOp::Put)
+            part.put(e.key, e.value);
+        else
+            part.del(e.key);
+    }
+    return apply(part);
+}
+
 bool
 KVStore::contains(BytesView key)
 {

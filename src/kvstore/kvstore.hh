@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hh"
 #include "common/status.hh"
@@ -127,6 +128,16 @@ class KVStore
 
     /** Apply a batch atomically (all-or-nothing on recovery). */
     virtual Status apply(const WriteBatch &batch);
+
+    /**
+     * Apply the entries of `batch` at `positions` (ascending) as
+     * one batch of their own. ShardedKVStore hands each shard its
+     * part of a cross-shard batch this way. The default copies
+     * those entries into a WriteBatch and applies it; an engine
+     * that overrides it reads them in place.
+     */
+    virtual Status applyEntries(const WriteBatch &batch,
+                                const std::vector<uint32_t> &positions);
 
     /** Whether the key is currently live. */
     virtual bool contains(BytesView key);

@@ -338,6 +338,7 @@ LSMStore::recover()
     }
     if (!s.isOk())
         return s;
+    active_log_start_ = log_start_;
     // Segments a crash kept from being dropped go now.
     s = wal_->trimTo(log_start_);
     if (!s.isOk())
@@ -446,10 +447,25 @@ LSMStore::maybeStallLocked(std::unique_lock<std::mutex> &lock)
 Status
 LSMStore::apply(const WriteBatch &batch)
 {
+    return applyPositions(batch, nullptr);
+}
+
+Status
+LSMStore::applyEntries(const WriteBatch &batch,
+                       const std::vector<uint32_t> &positions)
+{
+    return applyPositions(batch, &positions);
+}
+
+Status
+LSMStore::applyPositions(const WriteBatch &batch,
+                         const std::vector<uint32_t> *positions)
+{
+    const size_t count = positions ? positions->size() : batch.size();
     std::unique_lock<std::mutex> lock(mutex_.native());
     if (degraded_)
         return ioDegradedStatusLocked();
-    if (batch.empty())
+    if (count == 0)
         return Status::ok();
     maybeStallLocked(lock);
     if (degraded_)
@@ -457,10 +473,19 @@ LSMStore::apply(const WriteBatch &batch)
 
     // The log fdatasyncs the record itself under sync_wal.
     uint64_t first_seq = seq_ + 1;
-    Status s = wal_->append(batch, first_seq);
+    Bytes record;
+    if (positions)
+        appendWalRecord(record, batch, *positions, first_seq);
+    else
+        appendWalRecord(record, batch, first_seq);
+    uint64_t log_end = 0;
+    Status s =
+        wal_->appendRecord(record, first_seq + count - 1, &log_end);
     if (!s.isOk())
         return degradeOnIOErrorLocked(std::move(s));
-    for (const BatchEntry &e : batch.entries()) {
+    for (size_t i = 0; i < count; ++i) {
+        const BatchEntry &e =
+            batch.entries()[positions ? (*positions)[i] : i];
         ++seq_;
         if (e.op == BatchOp::Put) {
             ++stats_.user_writes;
@@ -476,8 +501,15 @@ LSMStore::apply(const WriteBatch &batch)
         }
         stats_.bytes_written += e.key.size() + e.value.size();
     }
-    if (memtable_->approximateBytes() >= options_.memtable_bytes)
+    // An overwrite grows approximateBytes() by the value-size
+    // difference only, so traffic on a few keys would never seal
+    // and the log behind the memtable would grow without bound;
+    // the log span since the memtable's first record bounds it.
+    if (memtable_->approximateBytes() >= options_.memtable_bytes ||
+        log_end - active_log_start_ >=
+            kSealLogSpanFactor * options_.memtable_bytes) {
         sealMemtableLocked();
+    }
     return Status::ok();
 }
 
@@ -488,9 +520,10 @@ LSMStore::sealMemtableLocked()
         return;
     // Its records stay in the WAL until the flush commits a
     // log_start past them.
+    active_log_start_ = wal_->endOffset();
     imm_.push_back({std::shared_ptr<const MemTable>(
                         memtable_.release()),
-                    wal_->endOffset()});
+                    active_log_start_});
     memtable_ = std::make_unique<MemTable>();
     updateQueueGaugeLocked();
     maintenance_->signal();
@@ -532,7 +565,7 @@ LSMStore::writeTableFromMem(const MemTable &mem, uint64_t file_no,
         return writer.status();
     Status add_status = Status::ok();
     mem.forEach(BytesView(), BytesView(),
-                [&](const InternalEntry &e) {
+                [&](const EntryView &e) {
                     add_status = writer.value()->add(e);
                     return add_status.isOk();
                 });
@@ -793,7 +826,7 @@ LSMStore::runCompaction(std::unique_lock<std::mutex> &lock,
 
     Status s = Status::ok();
     while (merged.valid()) {
-        const InternalEntry &e = merged.entry();
+        const EntryView e = merged.entry();
         if (e.type == EntryType::Tombstone && drop_tombstones) {
             ++dropped_tombstones;
             merged.next();
@@ -911,11 +944,13 @@ LSMStore::get(BytesView key, Bytes &value)
     std::unique_lock<std::mutex> lock(mutex_.native());
     ++stats_.user_reads;
 
-    InternalEntry entry;
-    if (memtable_->get(key, entry)) {
-        if (entry.type == EntryType::Tombstone)
+    // Memtable hits copy out only the value; the active one's view
+    // is read before the lock drops.
+    EntryView hit;
+    if (memtable_->get(key, hit)) {
+        if (hit.type == EntryType::Tombstone)
             return Status::notFound();
-        value = std::move(entry.value);
+        value.assign(hit.value);
         return Status::ok();
     }
 
@@ -928,14 +963,15 @@ LSMStore::get(BytesView key, Bytes &value)
     lock.unlock();
 
     for (const auto &mem : imms) {
-        if (mem->get(key, entry)) {
-            if (entry.type == EntryType::Tombstone)
+        if (mem->get(key, hit)) {
+            if (hit.type == EntryType::Tombstone)
                 return Status::notFound();
-            value = std::move(entry.value);
+            value.assign(hit.value);
             return Status::ok();
         }
     }
 
+    InternalEntry entry;
     SSTableReader::GetCost cost;
     Status s = getFromTables(*ver, key, entry, cost);
     static obs::Counter &tables_probed =
@@ -1010,8 +1046,8 @@ LSMStore::scan(BytesView start, BytesView end, const ScanCallback &cb)
     // memtable_bytes). Sealed memtables and tables are frozen and
     // iterate lock-free via the snapshot.
     std::vector<InternalEntry> active;
-    memtable_->forEach(start, end, [&](const InternalEntry &e) {
-        active.push_back(e);
+    memtable_->forEach(start, end, [&](const EntryView &e) {
+        active.push_back(e.toEntry());
         return true;
     });
     std::vector<std::shared_ptr<const MemTable>> imms;
@@ -1042,8 +1078,8 @@ LSMStore::scan(BytesView start, BytesView end, const ScanCallback &cb)
     MergingIterator merged(std::move(sources));
     merged.seek(start);
     while (merged.valid()) {
-        const InternalEntry &e = merged.entry();
-        if (!end.empty() && BytesView(e.key) >= end)
+        const EntryView e = merged.entry();
+        if (!end.empty() && e.key >= end)
             break;
         if (e.type == EntryType::Put) {
             if (!cb(e.key, e.value))
@@ -1317,8 +1353,8 @@ LSMStore::liveKeyCount()
     std::unique_lock<std::mutex> lock(mutex_.native());
     std::vector<InternalEntry> active;
     memtable_->forEach(BytesView(), BytesView(),
-                       [&](const InternalEntry &e) {
-                           active.push_back(e);
+                       [&](const EntryView &e) {
+                           active.push_back(e.toEntry());
                            return true;
                        });
     std::vector<std::shared_ptr<const MemTable>> imms;

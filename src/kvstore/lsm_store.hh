@@ -120,6 +120,9 @@ class LSMStore : public KVStore
     Status scan(BytesView start, BytesView end,
                 const ScanCallback &cb) override;
     Status apply(const WriteBatch &batch) override;
+    Status applyEntries(
+        const WriteBatch &batch,
+        const std::vector<uint32_t> &positions) override;
 
     /**
      * Barrier: seal the active memtable and wait until background
@@ -242,6 +245,11 @@ class LSMStore : public KVStore
 
     Status recover();
 
+    /** apply() of the entries at positions, or of all of them when
+     *  positions is null. */
+    Status applyPositions(const WriteBatch &batch,
+                          const std::vector<uint32_t> *positions);
+
     //! One unit of background work; true = call again.
     bool backgroundStep();
     Status backgroundFlush(std::unique_lock<std::mutex> &lock);
@@ -321,6 +329,10 @@ class LSMStore : public KVStore
     //! Per-level budget growth: level n+1 may hold this many times
     //! level n.
     static constexpr double kLevelMultiplier = 10.0;
+    //! The active memtable also seals once the WAL behind it spans
+    //! this many times memtable_bytes: overwrites barely grow the
+    //! memtable, and Zipf traffic spans under 2x.
+    static constexpr uint64_t kSealLogSpanFactor = 4;
     //! L0 file count that slows writers by ~1 ms per batch.
     const int l0_slowdown_files_ = 2 * options_.l0_compaction_trigger;
     //! L0 file count that hard-stalls writers.
@@ -346,6 +358,8 @@ class LSMStore : public KVStore
     //! Oldest WAL offset an unflushed memtable needs; the MANIFEST
     //! commits it and the log keeps everything from it on.
     uint64_t log_start_ = 0;
+    //! WAL offset of the active memtable's first record.
+    uint64_t active_log_start_ = 0;
     std::deque<ImmutableMemtable> imm_; //!< Oldest first.
 
     //! Bytes read via readers already retired from the version;

@@ -1,50 +1,81 @@
 #include "kvstore/memtable.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ethkv::kv
 {
 
+/**
+ * One skiplist node, carved from the arena together with its key
+ * bytes (right after the tower) and, at insert, its value bytes.
+ */
 struct MemTable::Node
 {
-    InternalEntry entry;
+    const char *key_data;
+    char *value_data;
+    size_t key_size;
+    size_t value_size;
+    size_t value_capacity; //!< Arena bytes at value_data.
+    uint64_t seq;
+    EntryType type;
     int height;
     Node *next[1]; // over-allocated to `height` slots
 
-    static Node *
-    make(InternalEntry entry, int height)
+    static size_t
+    towerBytes(int height)
     {
-        size_t size =
-            sizeof(Node) + (height - 1) * sizeof(Node *);
-        void *mem = ::operator new(size);
-        Node *n = new (mem) Node{std::move(entry), height, {nullptr}};
-        for (int i = 0; i < height; ++i)
-            n->next[i] = nullptr;
-        return n;
+        return sizeof(Node) + (height - 1) * sizeof(Node *);
     }
 
-    static void
-    destroy(Node *n)
+    BytesView key() const { return BytesView(key_data, key_size); }
+    BytesView
+    value() const
     {
-        n->~Node();
-        ::operator delete(n);
+        return BytesView(value_data, value_size);
+    }
+
+    EntryView
+    view() const
+    {
+        return {key(), value(), seq, type};
     }
 };
 
-MemTable::MemTable(uint64_t rng_seed) : rng_(rng_seed)
+char *
+MemTable::Arena::allocate(size_t n)
 {
-    head_ = Node::make(InternalEntry{}, max_height);
+    constexpr size_t align = alignof(Node);
+    n = (n + align - 1) & ~(align - 1);
+    if (n > left_) {
+        if (n > block_bytes / 4) {
+            // Its own block; the current one keeps its tail.
+            blocks_.push_back(
+                std::make_unique_for_overwrite<char[]>(n));
+            return blocks_.back().get();
+        }
+        blocks_.push_back(
+            std::make_unique_for_overwrite<char[]>(block_bytes));
+        ptr_ = blocks_.back().get();
+        left_ = block_bytes;
+    }
+    char *out = ptr_;
+    ptr_ += n;
+    left_ -= n;
+    return out;
 }
 
-MemTable::~MemTable()
+MemTable::MemTable(uint64_t rng_seed) : rng_(rng_seed)
 {
-    Node *n = head_;
-    while (n) {
-        Node *next = n->next[0];
-        Node::destroy(n);
-        n = next;
-    }
+    head_ = new (arena_.allocate(Node::towerBytes(max_height)))
+        Node{nullptr, nullptr, 0, 0, 0, 0, EntryType::Put,
+             max_height, {nullptr}};
+    for (int i = 0; i < max_height; ++i)
+        head_->next[i] = nullptr;
 }
+
+MemTable::~MemTable() = default;
 
 int
 MemTable::randomHeight()
@@ -63,7 +94,7 @@ MemTable::findGreaterOrEqual(BytesView key, Node **prev) const
     int level = height_ - 1;
     for (;;) {
         Node *next = x->next[level];
-        if (next && BytesView(next->entry.key) < key) {
+        if (next && next->key() < key) {
             x = next;
         } else {
             if (prev)
@@ -82,15 +113,20 @@ MemTable::add(BytesView key, BytesView value, uint64_t seq,
     Node *prev[max_height];
     Node *existing = findGreaterOrEqual(key, prev);
 
-    if (existing && BytesView(existing->entry.key) == key) {
+    if (existing && existing->key() == key) {
         // Supersede in place; newest write wins.
-        if (existing->entry.seq > seq)
+        if (existing->seq > seq)
             panic("MemTable::add: non-monotone seq for key");
-        approximate_bytes_ -= existing->entry.value.size();
+        approximate_bytes_ -= existing->value_size;
         approximate_bytes_ += value.size();
-        existing->entry.value = Bytes(value);
-        existing->entry.seq = seq;
-        existing->entry.type = type;
+        if (value.size() > existing->value_capacity) {
+            existing->value_data = arena_.allocate(value.size());
+            existing->value_capacity = value.size();
+        }
+        std::copy(value.begin(), value.end(), existing->value_data);
+        existing->value_size = value.size();
+        existing->seq = seq;
+        existing->type = type;
         return;
     }
 
@@ -104,8 +140,15 @@ MemTable::add(BytesView key, BytesView value, uint64_t seq,
         height_ = h;
     }
 
-    InternalEntry entry{Bytes(key), Bytes(value), seq, type};
-    Node *n = Node::make(std::move(entry), h);
+    const size_t tower = Node::towerBytes(h);
+    char *mem = arena_.allocate(tower + key.size() + value.size());
+    char *key_data = mem + tower;
+    char *value_data = key_data + key.size();
+    std::copy(key.begin(), key.end(), key_data);
+    std::copy(value.begin(), value.end(), value_data);
+    Node *n = new (mem) Node{key_data, value_data, key.size(),
+                             value.size(), value.size(), seq, type,
+                             h, {nullptr}};
     for (int i = 0; i < h; ++i) {
         n->next[i] = prev[i]->next[i];
         prev[i]->next[i] = n;
@@ -115,11 +158,11 @@ MemTable::add(BytesView key, BytesView value, uint64_t seq,
 }
 
 bool
-MemTable::get(BytesView key, InternalEntry &entry) const
+MemTable::get(BytesView key, EntryView &entry) const
 {
     Node *n = findGreaterOrEqual(key, nullptr);
-    if (n && BytesView(n->entry.key) == key) {
-        entry = n->entry;
+    if (n && n->key() == key) {
+        entry = n->view();
         return true;
     }
     return false;
@@ -150,12 +193,12 @@ class MemTableIterator : public InternalIterator
         node_ = node_->next[0];
     }
 
-    const InternalEntry &
+    EntryView
     entry() const override
     {
         if (!node_)
             panic("MemTableIterator::entry on invalid iterator");
-        return node_->entry;
+        return node_->view();
     }
 
   private:
@@ -172,13 +215,13 @@ MemTable::newIterator() const
 bool
 MemTable::forEach(
     BytesView start, BytesView end,
-    const std::function<bool(const InternalEntry &)> &cb) const
+    const std::function<bool(const EntryView &)> &cb) const
 {
     Node *n = findGreaterOrEqual(start, nullptr);
     while (n) {
-        if (!end.empty() && BytesView(n->entry.key) >= end)
+        if (!end.empty() && n->key() >= end)
             break;
-        if (!cb(n->entry))
+        if (!cb(n->view()))
             return false;
         n = n->next[0];
     }

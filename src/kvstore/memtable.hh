@@ -7,6 +7,12 @@
  * tombstones so they can shadow older on-disk versions. Within a
  * memtable, the latest write to a key wins; older versions are
  * superseded in place (no snapshot isolation is needed by ethkv).
+ *
+ * Nodes, keys and values are carved from a per-memtable arena
+ * (LevelDB-style), so an insert costs no heap allocation of its own
+ * and the whole table is freed at once. An overwrite reuses its
+ * value's space when the new value fits, and takes fresh arena
+ * space otherwise.
  */
 
 #ifndef ETHKV_KVSTORE_MEMTABLE_HH
@@ -15,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/bytes.hh"
 #include "common/rand.hh"
@@ -50,11 +57,12 @@ class MemTable
     /**
      * Look up a key.
      *
-     * @param entry Receives the full internal entry (which may be a
-     *              tombstone — callers must check).
+     * @param entry Receives the entry (which may be a tombstone —
+     *              callers must check) as views into this table,
+     *              valid until the next add().
      * @return true if the key has an entry in this memtable.
      */
-    bool get(BytesView key, InternalEntry &entry) const;
+    bool get(BytesView key, EntryView &entry) const;
 
     /**
      * Visit entries with start <= key < end in ascending key order.
@@ -66,9 +74,13 @@ class MemTable
      */
     bool forEach(
         BytesView start, BytesView end,
-        const std::function<bool(const InternalEntry &)> &cb) const;
+        const std::function<bool(const EntryView &)> &cb) const;
 
-    /** Approximate memory footprint in bytes (keys + values). */
+    /**
+     * Live keys and values plus 32 bytes a key. An overwrite
+     * changes it by the value-size difference only; the arena may
+     * hold more (a grown value's old space is not reused).
+     */
     uint64_t approximateBytes() const { return approximate_bytes_; }
 
     uint64_t entryCount() const { return entry_count_; }
@@ -87,11 +99,31 @@ class MemTable
 
     struct Node;
 
+    /**
+     * Bump allocator over heap blocks, freed all at once with the
+     * memtable. Requests above a quarter block get a block of their
+     * own, so a big value wastes no block tail.
+     */
+    class Arena
+    {
+      public:
+        /** n bytes aligned for a Node. */
+        char *allocate(size_t n);
+
+      private:
+        static constexpr size_t block_bytes = 32 << 10;
+
+        char *ptr_ = nullptr;
+        size_t left_ = 0;
+        std::vector<std::unique_ptr<char[]>> blocks_;
+    };
+
     static constexpr int max_height = 16;
 
     int randomHeight();
     Node *findGreaterOrEqual(BytesView key, Node **prev) const;
 
+    Arena arena_;
     Node *head_;
     int height_ = 1;
     Rng rng_;

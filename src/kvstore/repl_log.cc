@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/bytes.hh"
+#include "common/dcheck.hh"
 #include "common/varint.hh"
 #include "common/xxhash.hh"
 
@@ -22,13 +23,6 @@ constexpr const char *kStartTag = "ethkv.repl.start.v1";
 /** Read window slack: enough for a typical record so one read
  *  usually covers the budget without a second probe. */
 constexpr uint64_t kReadSlack = 64u << 10;
-
-void
-appendBE32(Bytes &out, uint32_t v)
-{
-    for (int shift = 24; shift >= 0; shift -= 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
 
 uint32_t
 readBE32(const unsigned char *p)
@@ -48,20 +42,18 @@ readBE64(const unsigned char *p)
     return v;
 }
 
-Bytes
-encodePayload(const WriteBatch &batch, uint64_t first_seq)
+void
+writeBE32(char *dst, uint32_t v)
 {
-    Bytes payload;
-    appendVarint(payload, first_seq);
-    appendVarint(payload, batch.size());
-    for (const BatchEntry &e : batch.entries()) {
-        payload.push_back(static_cast<char>(e.op));
-        appendVarint(payload, e.key.size());
-        payload += e.key;
-        appendVarint(payload, e.value.size());
-        payload += e.value;
-    }
-    return payload;
+    for (int i = 0; i < 4; ++i)
+        dst[i] = static_cast<char>((v >> (24 - 8 * i)) & 0xff);
+}
+
+void
+writeBE64(char *dst, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        dst[i] = static_cast<char>((v >> (56 - 8 * i)) & 0xff);
 }
 
 bool
@@ -74,6 +66,13 @@ decodePayload(BytesView payload, WriteBatch &batch,
         return false;
     if (!readVarint(payload, pos, count))
         return false;
+    // Each entry is at least 3 bytes (op, klen, vlen): an absurd
+    // count is rejected before the batch reserves for it.
+    if (count > (payload.size() - pos) / 3)
+        return false;
+    // Entries are parsed as views into the payload, so each key and
+    // value is copied once, straight into the batch.
+    batch.reserve(batch.size() + count);
     for (uint64_t i = 0; i < count; ++i) {
         if (pos >= payload.size())
             return false;
@@ -83,13 +82,13 @@ decodePayload(BytesView payload, WriteBatch &batch,
         uint64_t klen, vlen;
         if (!readVarint(payload, pos, klen))
             return false;
-        if (pos + klen > payload.size())
+        if (klen > payload.size() - pos)
             return false;
         BytesView key = payload.substr(pos, klen);
         pos += klen;
         if (!readVarint(payload, pos, vlen))
             return false;
-        if (pos + vlen > payload.size())
+        if (vlen > payload.size() - pos)
             return false;
         BytesView value = payload.substr(pos, vlen);
         pos += vlen;
@@ -115,17 +114,62 @@ replayRecords(BytesView data, size_t pos, const RecordCallback &cb)
     }
 }
 
+/** The one record encoder: count entries, entry(i) the i-th. Sizes
+ *  the payload exactly, then encodes header and payload in one pass
+ *  into one reservation; the checksum fills the header once the
+ *  payload is in place. */
+template <typename EntryAt>
+void
+encodeRecord(Bytes &out, uint64_t first_seq, size_t count,
+             EntryAt &&entry)
+{
+    size_t payload_len = varintLength(first_seq) + varintLength(count);
+    for (size_t i = 0; i < count; ++i) {
+        const BatchEntry &e = entry(i);
+        payload_len += 1 + varintLength(e.key.size()) + e.key.size() +
+                       varintLength(e.value.size()) + e.value.size();
+    }
+    const size_t header_at = out.size();
+    out.resize(header_at + 12 + payload_len);
+    char *const payload = out.data() + header_at + 12;
+    char *p = encodeVarint(payload, first_seq);
+    p = encodeVarint(p, count);
+    for (size_t i = 0; i < count; ++i) {
+        const BatchEntry &e = entry(i);
+        *p++ = static_cast<char>(e.op);
+        p = encodeVarint(p, e.key.size());
+        p = std::copy(e.key.begin(), e.key.end(), p);
+        p = encodeVarint(p, e.value.size());
+        p = std::copy(e.value.begin(), e.value.end(), p);
+    }
+    ETHKV_DCHECK_EQ(static_cast<size_t>(p - payload), payload_len);
+    writeBE32(out.data() + header_at,
+              static_cast<uint32_t>(payload_len));
+    writeBE64(out.data() + header_at + 4,
+              xxhash64(BytesView(payload, payload_len)));
+}
+
 } // namespace
 
 void
 appendWalRecord(Bytes &out, const WriteBatch &batch,
                 uint64_t first_seq)
 {
-    Bytes payload = encodePayload(batch, first_seq);
-    out.reserve(out.size() + 12 + payload.size());
-    appendBE32(out, static_cast<uint32_t>(payload.size()));
-    appendBE64(out, xxhash64(payload));
-    out += payload;
+    encodeRecord(out, first_seq, batch.size(),
+                 [&](size_t i) -> const BatchEntry & {
+                     return batch.entries()[i];
+                 });
+}
+
+void
+appendWalRecord(Bytes &out, const WriteBatch &batch,
+                const std::vector<uint32_t> &positions,
+                uint64_t first_seq)
+{
+    encodeRecord(out, first_seq, positions.size(),
+                 [&](size_t i) -> const BatchEntry & {
+                     return batch.entries()[positions[i]];
+                 });
 }
 
 Status
@@ -522,9 +566,15 @@ ReplicationLog::append(const WriteBatch &batch, uint64_t first_seq,
 {
     Bytes record;
     appendWalRecord(record, batch, first_seq);
-    const uint64_t last_seq =
-        batch.size() > 0 ? first_seq + batch.size() - 1 : 0;
+    return appendRecord(
+        record, batch.size() > 0 ? first_seq + batch.size() - 1 : 0,
+        end_offset);
+}
 
+Status
+ReplicationLog::appendRecord(BytesView record, uint64_t last_seq,
+                             uint64_t *end_offset)
+{
     MutexLock lock(mutex_);
     Status s = appendRecordLocked(record, last_seq);
     if (!s.isOk())

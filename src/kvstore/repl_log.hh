@@ -89,6 +89,12 @@ namespace ethkv::kv
 void appendWalRecord(Bytes &out, const WriteBatch &batch,
                      uint64_t first_seq);
 
+/** Append one framed record of the entries of `batch` at
+ *  `positions`, as if they were a batch of their own. */
+void appendWalRecord(Bytes &out, const WriteBatch &batch,
+                     const std::vector<uint32_t> &positions,
+                     uint64_t first_seq);
+
 /**
  * Decode the framed record starting at data[pos].
  *
@@ -181,6 +187,17 @@ class ReplicationLog
      */
     Status append(const WriteBatch &batch, uint64_t first_seq,
                   uint64_t *end_offset = nullptr);
+
+    /**
+     * Append one record the caller framed with appendWalRecord
+     * (trusted, not re-validated; appendRaw is for bytes from a
+     * peer).
+     *
+     * @param last_seq Sequence of its last entry; 0 for an empty
+     *        batch.
+     */
+    Status appendRecord(BytesView record, uint64_t last_seq,
+                        uint64_t *end_offset = nullptr);
 
     /**
      * Append pre-framed record bytes verbatim (follower replay:

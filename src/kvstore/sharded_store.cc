@@ -136,20 +136,33 @@ ShardedKVStore::apply(const WriteBatch &batch)
 {
     if (serve_.size() == 1)
         return serve_[0]->apply(batch);
-    // Split into per-shard sub-batches. Relative order within a
-    // shard is preserved; order across shards does not matter
-    // because hash-disjoint shards can never hold the same key.
-    std::vector<WriteBatch> sub(serve_.size());
+    // Route every entry once. A batch that lands on one shard
+    // passes through whole; otherwise each shard applies the
+    // positions of its entries in place (KVStore::applyEntries),
+    // so no entry is copied here. Relative order within a shard is
+    // preserved; order across shards does not matter because
+    // hash-disjoint shards can never hold the same key.
+    const uint32_t shards = shardCount();
+    std::vector<uint32_t> route_of;
+    route_of.reserve(batch.size());
+    std::vector<size_t> counts(shards, 0);
     for (const BatchEntry &e : batch.entries()) {
-        uint32_t idx = shardOf(e.key, shardCount());
-        if (e.op == BatchOp::Put)
-            sub[idx].put(e.key, e.value);
-        else
-            sub[idx].del(e.key);
+        route_of.push_back(shardOf(e.key, shards));
+        ++counts[route_of.back()];
     }
     size_t touched = 0;
-    for (const WriteBatch &b : sub)
-        touched += b.empty() ? 0 : 1;
+    for (size_t n : counts)
+        touched += n == 0 ? 0 : 1;
+    if (touched == 1) {
+        uint32_t idx = route_of.front();
+        shard_ops_[idx]->inc();
+        return serve_[idx]->apply(batch);
+    }
+    std::vector<std::vector<uint32_t>> positions(shards);
+    for (uint32_t i = 0; i < shards; ++i)
+        positions[i].reserve(counts[i]);
+    for (size_t i = 0; i < route_of.size(); ++i)
+        positions[route_of[i]].push_back(static_cast<uint32_t>(i));
     if (touched > 1)
         cross_shard_batches_->inc();
     // All-or-nothing ack: the first failing sub-batch fails the
@@ -157,11 +170,11 @@ ShardedKVStore::apply(const WriteBatch &batch)
     // applied stay applied (per-shard atomicity, not cross-shard);
     // callers that cache must invalidate even on failure — see the
     // header contract and CacheTier::apply.
-    for (size_t i = 0; i < sub.size(); ++i) {
-        if (sub[i].empty())
+    for (size_t i = 0; i < positions.size(); ++i) {
+        if (positions[i].empty())
             continue;
         shard_ops_[i]->inc();
-        Status s = serve_[i]->apply(sub[i]);
+        Status s = serve_[i]->applyEntries(batch, positions[i]);
         if (!s.isOk())
             return s;
     }

@@ -20,12 +20,14 @@
  *
  *  - point ops (put/get/del/contains) route to exactly one shard
  *    and touch exactly one shard's locks;
- *  - BATCH splits into per-shard sub-batches, preserving relative
- *    order within each shard (order across shards is irrelevant —
- *    hash-disjoint keys cannot alias). The ack is all-or-nothing:
- *    any sub-batch failure fails the whole apply and nothing is
- *    acknowledged. As with the single-store contract, an unacked
- *    failed batch may leave a partially-applied prefix behind —
+ *  - BATCH splits into per-shard sub-batches, each handed to its
+ *    shard as the positions of its entries (applyEntries), keeping
+ *    relative order within each shard (order across shards is
+ *    irrelevant — hash-disjoint keys cannot alias). The ack is
+ *    all-or-nothing: any sub-batch failure fails the whole apply
+ *    and nothing is acknowledged. As with the single-store
+ *    contract, an unacked failed batch may leave a
+ *    partially-applied prefix behind —
  *    crash recovery is per-shard-atomic, not cross-shard-atomic —
  *    which is why the cache tier invalidates batch keys even on a
  *    failed apply (see CacheTier::apply);

@@ -12,7 +12,7 @@ namespace
 constexpr uint64_t sstable_magic = 0x657468'6b76737374ULL;
 
 void
-appendEntry(Bytes &out, const InternalEntry &e)
+appendEntry(Bytes &out, const EntryView &e)
 {
     appendVarint(out, e.key.size());
     appendVarint(out, e.value.size());
@@ -21,16 +21,6 @@ appendEntry(Bytes &out, const InternalEntry &e)
     out += e.key;
     out += e.value;
 }
-
-/** One data-block entry viewed in place; valid while the block
- *  buffer it points into is alive and unmodified. */
-struct EntryView
-{
-    BytesView key;
-    BytesView value;
-    uint64_t seq;
-    EntryType type;
-};
 
 bool
 readEntryView(BytesView data, size_t &pos, EntryView &e)
@@ -136,19 +126,20 @@ SSTableWriter::create(const std::string &path, Env *env)
 }
 
 Status
-SSTableWriter::add(const InternalEntry &entry)
+SSTableWriter::add(const EntryView &entry)
 {
     if (finished_)
         panic("SSTableWriter::add after finish");
     if (props_.entry_count > 0 &&
-        BytesView(entry.key) <= BytesView(props_.largest_key)) {
+        entry.key <= BytesView(props_.largest_key)) {
         return Status::invalidArgument(
             "sstable: keys must be strictly ascending");
     }
 
     if (props_.entry_count == 0)
-        props_.smallest_key = entry.key;
-    props_.largest_key = entry.key;
+        props_.smallest_key.assign(entry.key);
+    // Also the current block's last key when the block is cut.
+    props_.largest_key.assign(entry.key);
     ++props_.entry_count;
     if (entry.type == EntryType::Tombstone)
         ++props_.tombstone_count;
@@ -158,7 +149,6 @@ SSTableWriter::add(const InternalEntry &entry)
 
     key_hashes_.push_back(BloomFilter::hashKey(entry.key));
     appendEntry(block_, entry);
-    block_last_key_ = entry.key;
 
     if (block_.size() >= block_target_bytes)
         return flushBlock();
@@ -173,7 +163,7 @@ SSTableWriter::flushBlock()
     Status s = file_->append(block_);
     if (!s.isOk())
         return s;
-    index_.push_back({block_last_key_, file_offset_, block_.size()});
+    index_.push_back({props_.largest_key, file_offset_, block_.size()});
     file_offset_ += block_.size();
     block_.clear();
     return Status::ok();
@@ -382,24 +372,6 @@ SSTableReader::readBlockBytes(size_t block_idx, Bytes &block)
 }
 
 Status
-SSTableReader::readBlock(size_t block_idx,
-                         std::vector<InternalEntry> &entries)
-{
-    Bytes block;
-    Status s = readBlockBytes(block_idx, block);
-    if (!s.isOk())
-        return s;
-    entries.clear();
-    bool intact = forEachEntry(block, [&](const EntryView &e) {
-        entries.push_back(
-            {Bytes(e.key), Bytes(e.value), e.seq, e.type});
-    });
-    if (!intact)
-        return Status::corruption("sstable: bad block entry");
-    return Status::ok();
-}
-
-Status
 SSTableReader::get(BytesView key, InternalEntry &entry, GetCost *cost)
 {
     // The range check is two compares; the filter costs two hashes.
@@ -444,8 +416,10 @@ SSTableReader::get(BytesView key, InternalEntry &entry, GetCost *cost)
 }
 
 /**
- * Cursor over one SSTable: walks blocks sequentially, decoding one
- * block at a time.
+ * Cursor over one SSTable: walks blocks sequentially. Each block is
+ * read into a buffer the cursor owns and decoded (and validated)
+ * into views into it, so an entry costs no copy; the views die when
+ * the cursor moves to the next block.
  */
 class SSTableIterator : public InternalIterator
 {
@@ -468,7 +442,7 @@ class SSTableIterator : public InternalIterator
         block_idx_ = static_cast<size_t>(idx);
         loadBlock();
         while (entry_idx_ < entries_.size() &&
-               BytesView(entries_[entry_idx_].key) < target) {
+               entries_[entry_idx_].key < target) {
             ++entry_idx_;
         }
         // Target may fall between blocks' last keys; normalize.
@@ -486,7 +460,7 @@ class SSTableIterator : public InternalIterator
         advanceIfExhausted();
     }
 
-    const InternalEntry &
+    EntryView
     entry() const override
     {
         if (!valid())
@@ -498,8 +472,14 @@ class SSTableIterator : public InternalIterator
     void
     loadBlock()
     {
-        reader_->readBlock(block_idx_, entries_)
+        reader_->readBlockBytes(block_idx_, block_)
             .expectOk("sstable iterator block read");
+        entries_.clear();
+        if (!forEachEntry(block_, [this](const EntryView &e) {
+                entries_.push_back(e);
+            })) {
+            panic("sstable iterator block read: bad block entry");
+        }
         entry_idx_ = 0;
     }
 
@@ -519,7 +499,8 @@ class SSTableIterator : public InternalIterator
 
     SSTableReader *reader_;
     size_t block_idx_ = 0;
-    std::vector<InternalEntry> entries_;
+    Bytes block_;                    //!< Owns what entries_ view.
+    std::vector<EntryView> entries_; //!< The current block's.
     size_t entry_idx_ = 0;
 };
 

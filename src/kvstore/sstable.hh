@@ -69,8 +69,9 @@ class SSTableWriter
     SSTableWriter(const SSTableWriter &) = delete;
     SSTableWriter &operator=(const SSTableWriter &) = delete;
 
-    /** Append one entry; key must exceed the previous key. */
-    Status add(const InternalEntry &entry);
+    /** Append one entry; key must exceed the previous key. The
+     *  views need only live for the call. */
+    Status add(const EntryView &entry);
 
     /**
      * Flush blocks, write filter/index/props/footer, fsync, close.
@@ -99,7 +100,6 @@ class SSTableWriter
     //!< in finish(), once the key count is known.
     std::vector<BloomFilter::KeyHash> key_hashes_;
     Bytes block_;
-    Bytes block_last_key_;
     bool finished_ = false;
 
     struct IndexEntry
@@ -186,10 +186,6 @@ class SSTableReader
 
     /** Read data block i's raw bytes into block (resized). */
     Status readBlockBytes(size_t block_idx, Bytes &block);
-
-    /** Read and decode data block i into entries. */
-    Status readBlock(size_t block_idx,
-                     std::vector<InternalEntry> &entries);
 
     /** Index of the first block whose last key >= target, or -1. */
     int findBlock(BytesView target) const;

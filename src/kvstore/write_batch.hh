@@ -52,6 +52,10 @@ class WriteBatch
         entries_.push_back({BatchOp::Delete, Bytes(key), Bytes()});
     }
 
+    /** Make room for n entries, so filling a batch of known size
+     *  never regrows the entry vector. */
+    void reserve(size_t n) { entries_.reserve(n); }
+
     void clear() { entries_.clear(); }
     bool empty() const { return entries_.empty(); }
     size_t size() const { return entries_.size(); }

@@ -42,17 +42,29 @@ readU64(BytesView data, size_t pos)
            readU32(data, pos + 4);
 }
 
-/** Read a varint-prefixed byte string; false on overrun. */
+/** Read a varint-prefixed byte string as a view into payload;
+ *  false on overrun. */
 bool
-readBlob(BytesView payload, size_t &pos, Bytes &out)
+readBlobView(BytesView payload, size_t &pos, BytesView &out)
 {
     uint64_t len = 0;
     if (!readVarint(payload, pos, len))
         return false;
     if (len > payload.size() - pos)
         return false;
-    out.assign(payload.substr(pos, len));
+    out = payload.substr(pos, len);
     pos += len;
+    return true;
+}
+
+/** readBlobView, copied out. */
+bool
+readBlob(BytesView payload, size_t &pos, Bytes &out)
+{
+    BytesView view;
+    if (!readBlobView(payload, pos, view))
+        return false;
+    out.assign(view);
     return true;
 }
 
@@ -331,9 +343,12 @@ decodeBatch(BytesView payload, kv::WriteBatch &batch)
     if (!readVarint(payload, pos, count))
         return malformed("BATCH count");
     // Each entry is at least 2 bytes (op + empty-key varint); an
-    // absurd count is rejected before any allocation.
-    if (count > payload.size())
+    // absurd count is rejected before the reservation below.
+    if (count > (payload.size() - pos) / 2)
         return malformed("BATCH count exceeds payload");
+    // Entries are parsed as views into the payload, so each key and
+    // value is copied once, straight into the batch.
+    batch.reserve(batch.size() + count);
     for (uint64_t i = 0; i < count; ++i) {
         if (pos >= payload.size())
             return malformed("BATCH truncated entry");
@@ -342,12 +357,12 @@ decodeBatch(BytesView payload, kv::WriteBatch &batch)
             op != static_cast<uint8_t>(kv::BatchOp::Delete)) {
             return malformed("BATCH bad op byte");
         }
-        Bytes key;
-        if (!readBlob(payload, pos, key))
+        BytesView key;
+        if (!readBlobView(payload, pos, key))
             return malformed("BATCH key");
         if (op == static_cast<uint8_t>(kv::BatchOp::Put)) {
-            Bytes value;
-            if (!readBlob(payload, pos, value))
+            BytesView value;
+            if (!readBlobView(payload, pos, value))
                 return malformed("BATCH value");
             batch.put(key, value);
         } else {

@@ -4,8 +4,9 @@
  * levels, WAL crash recovery (including a crash in each window of a
  * flush: table written but not committed, MANIFEST committed but
  * log segments not dropped), a seal that does no I/O, the WAL's
- * segment bound, reopen persistence, tombstone lifecycle, the
- * compaction picker, and GET-path read attribution.
+ * segment bound (overwrite-only traffic too), reopen persistence,
+ * tombstone lifecycle, the compaction picker, and GET-path read
+ * attribution.
  */
 
 #include <gtest/gtest.h>
@@ -568,6 +569,43 @@ TEST(LsmTest, WalKeepsOnlyUnflushedSegments)
     // With everything flushed, only a fresh segment remains.
     ASSERT_TRUE(store.value()->flush().isOk());
     EXPECT_EQ(walSegmentFiles(dir.path()), 1u);
+}
+
+TEST(LsmTest, OverwritesSealOnLogSpan)
+{
+    // Overwrites of resident keys grow the memtable by the value
+    // size difference only (zero here), so only the log-span rule
+    // seals it. Without that rule this loop leaves ~250 segments.
+    ScratchDir dir("lsm");
+    LSMOptions opts = smallOptions(dir.path());
+    opts.memtable_bytes = 64 << 10;
+    auto store = LSMStore::open(opts);
+    ASSERT_TRUE(store.ok());
+    // A memtable spans at most 4 x memtable_bytes of log (plus the
+    // record that crossed it), and at most max_immutable_memtables
+    // sealed ones queue behind the active one. Segments are
+    // memtable_bytes long, so that span touches at most this many.
+    const size_t bound =
+        static_cast<size_t>(opts.max_immutable_memtables + 1) * 4 +
+        2;
+    for (uint64_t i = 0; i < 200000; ++i) {
+        ASSERT_TRUE(store.value()
+                        ->put(makeKey(i % 10), makeValue(i))
+                        .isOk());
+        if (i % 97 == 0) {
+            ASSERT_LE(walSegmentFiles(dir.path()), bound) << i;
+        }
+    }
+    EXPECT_GT(store.value()->tableBytes(), 0u);
+    store.value().reset();
+
+    auto reopened = LSMStore::open(opts);
+    ASSERT_TRUE(reopened.ok());
+    for (uint64_t k = 0; k < 10; ++k) {
+        Bytes v;
+        ASSERT_TRUE(reopened.value()->get(makeKey(k), v).isOk());
+        EXPECT_EQ(v, makeValue(200000 - 10 + k));
+    }
 }
 
 TEST(LsmTest, RefusesV1Manifest)

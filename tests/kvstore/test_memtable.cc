@@ -25,7 +25,7 @@ TEST(MemTableTest, PutAndGet)
     table.add("alpha", "1", 1, EntryType::Put);
     table.add("beta", "2", 2, EntryType::Put);
 
-    InternalEntry e;
+    EntryView e;
     ASSERT_TRUE(table.get("alpha", e));
     EXPECT_EQ(e.value, "1");
     EXPECT_EQ(e.seq, 1u);
@@ -38,7 +38,7 @@ TEST(MemTableTest, NewestWriteSupersedes)
     MemTable table;
     table.add("k", "old", 1, EntryType::Put);
     table.add("k", "new", 2, EntryType::Put);
-    InternalEntry e;
+    EntryView e;
     ASSERT_TRUE(table.get("k", e));
     EXPECT_EQ(e.value, "new");
     EXPECT_EQ(e.seq, 2u);
@@ -50,7 +50,7 @@ TEST(MemTableTest, TombstoneVisible)
     MemTable table;
     table.add("k", "v", 1, EntryType::Put);
     table.add("k", "", 2, EntryType::Tombstone);
-    InternalEntry e;
+    EntryView e;
     ASSERT_TRUE(table.get("k", e));
     EXPECT_EQ(e.type, EntryType::Tombstone);
 }
@@ -71,10 +71,10 @@ TEST(MemTableTest, IterationIsSortedAndComplete)
     Bytes prev;
     size_t seen = 0;
     table.forEach(BytesView(), BytesView(),
-                  [&](const InternalEntry &e) {
+                  [&](const EntryView &e) {
                       if (seen > 0)
                           EXPECT_LT(prev, e.key);
-                      EXPECT_EQ(expected.at(e.key), e.value);
+                      EXPECT_EQ(expected.at(Bytes(e.key)), e.value);
                       prev = e.key;
                       ++seen;
                       return true;
@@ -90,7 +90,7 @@ TEST(MemTableTest, RangeBoundedIteration)
 
     size_t seen = 0;
     table.forEach(makeKey(10), makeKey(20),
-                  [&](const InternalEntry &e) {
+                  [&](const EntryView &e) {
                       EXPECT_GE(e.key, makeKey(10));
                       EXPECT_LT(e.key, makeKey(20));
                       ++seen;
@@ -106,7 +106,7 @@ TEST(MemTableTest, EarlyStopIteration)
         table.add(makeKey(i), "v", i + 1, EntryType::Put);
     size_t seen = 0;
     bool completed = table.forEach(BytesView(), BytesView(),
-                                   [&](const InternalEntry &) {
+                                   [&](const EntryView &) {
                                        return ++seen < 5;
                                    });
     EXPECT_FALSE(completed);
@@ -154,7 +154,7 @@ TEST(MemTableTest, LargeInsertionKeepsOrder)
     Bytes prev;
     bool first = true;
     table.forEach(BytesView(), BytesView(),
-                  [&](const InternalEntry &e) {
+                  [&](const EntryView &e) {
                       if (!first)
                           EXPECT_LE(prev, e.key);
                       prev = e.key;

@@ -274,7 +274,7 @@ TEST(SSTableTest, GetAgreesWithIteratorAcrossBlocks)
     std::vector<InternalEntry> scanned;
     auto it = reader.value()->newIterator();
     for (it->seek(BytesView()); it->valid(); it->next())
-        scanned.push_back(it->entry());
+        scanned.push_back(it->entry().toEntry());
     ASSERT_EQ(scanned.size(), n);
     EXPECT_GT(reader.value()->props().tombstone_count, 0u);
 

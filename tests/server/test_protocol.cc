@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rand.hh"
+#include "common/varint.hh"
 #include "server/protocol.hh"
 
 namespace ethkv::server
@@ -400,6 +402,51 @@ TEST(PayloadCodecTest, LengthOverrunRejected)
     buf += "abc";
     Bytes key;
     EXPECT_TRUE(decodeGet(buf, key).code() == StatusCode::InvalidArgument);
+}
+
+TEST(PayloadCodecTest, BatchViewDecodeRoundTrip)
+{
+    // decodeBatch parses entries as views into the payload and
+    // copies each once into the batch: the decoded batch must own
+    // its bytes (the payload is scribbled over before the check)
+    // and equal what was encoded, across deletes, empty values and
+    // lengths that need multi-byte varints.
+    Rng rng(4242);
+    static const size_t lens[] = {0, 1, 32, 127, 128, 500};
+    for (int round = 0; round < 100; ++round) {
+        kv::WriteBatch batch;
+        const size_t n = round == 0 ? 0 : rng.nextBounded(200);
+        for (size_t i = 0; i < n; ++i) {
+            Bytes key = rng.nextBytes(lens[rng.nextBounded(6)]);
+            if (rng.nextBounded(3) == 0)
+                batch.del(key);
+            else
+                batch.put(key,
+                          rng.nextBytes(lens[rng.nextBounded(6)]));
+        }
+        Bytes buf;
+        encodeBatch(buf, batch);
+        kv::WriteBatch decoded;
+        ASSERT_TRUE(decodeBatch(buf, decoded).isOk());
+        std::fill(buf.begin(), buf.end(), '\xee');
+        ASSERT_EQ(decoded.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+            const kv::BatchEntry &want = batch.entries()[i];
+            const kv::BatchEntry &got = decoded.entries()[i];
+            EXPECT_EQ(got.op, want.op);
+            EXPECT_EQ(got.key, want.key);
+            EXPECT_EQ(got.value, want.value);
+        }
+    }
+
+    // A count no payload of that size could hold is refused before
+    // the batch reserves for it.
+    Bytes lying;
+    appendVarint(lying, 1000);
+    lying += Bytes(100, '\x01');
+    kv::WriteBatch decoded;
+    EXPECT_EQ(decodeBatch(lying, decoded).code(),
+              StatusCode::InvalidArgument);
 }
 
 TEST(PayloadCodecTest, ScanResponseRoundTrip)
